@@ -1,10 +1,10 @@
 // Serving throughput: the parallel batched QueryEngine vs. a single-threaded
-// loop over per-query evaluation (the offline EvaluatePool style: one
-// allocating linear group scan per query), on the paper's workload — a
+// loop over EvaluateUncached (the fused, non-allocating, SIMD-dispatched
+// scan kernel, one call per query), on the paper's workload — a
 // 5,000-count-query pool (§6.1) against an SPS release of the synthetic
 // CENSUS dataset served on its raw personal groups (~17k groups at 45k
 // records; generalization would collapse them to a few hundred and make
-// every strategy trivially fast — ungeneralized is the serving-relevant
+// every query trivially fast — ungeneralized is the serving-relevant
 // regime).
 //
 // Measures queries/sec vs. worker-thread count and vs. batch size, then the
@@ -84,9 +84,9 @@ int Run() {
             << " records, " << FormatWithCommas(int64_t(snap->index.num_groups()))
             << " groups\n\n";
 
-  // --- baseline: single-threaded loop over per-query evaluation ----------
-  // (what an offline EvaluatePool-style consumer does: one allocating
-  // linear scan of all groups per query)
+  // --- baseline: single-threaded loop over EvaluateUncached ---------------
+  // (the engine's reference kernel: one fused scan of the group columns
+  // per query, no allocation, SIMD-dispatched)
   std::vector<serve::Answer> baseline_answers(pool.size());
   const Timed baseline = Time(pool.size(), [&] {
     for (size_t i = 0; i < pool.size(); ++i) {
@@ -99,7 +99,7 @@ int Run() {
 
   // --- engine: queries/sec vs thread count --------------------------------
   exp::AsciiTable by_threads(
-      {"threads", "strategy", "cold_qps", "warm_qps", "speedup_vs_baseline"});
+      {"threads", "cold_qps", "warm_qps", "speedup_vs_baseline"});
   double best_cold_qps = 0.0;
   double cold_1thread_seconds = 0.0;
   double warm_1thread_seconds = 0.0;
@@ -135,11 +135,7 @@ int Run() {
       warm_1thread_seconds = warm.seconds;
     }
     by_threads.AddRow(
-        {std::to_string(threads),
-         cold_result.strategy_used == serve::EvalStrategy::kPostings
-             ? "postings"
-             : "group-shard",
-         FormatWithCommas(int64_t(cold.qps)),
+        {std::to_string(threads), FormatWithCommas(int64_t(cold.qps)),
          FormatWithCommas(int64_t(warm.qps)),
          FormatDouble(cold.qps / baseline.qps, 3) + "x"});
   }

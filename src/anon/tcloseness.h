@@ -12,11 +12,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
-#include "table/group_index.h"
+#include "table/flat_group_index.h"
 #include "table/table.h"
 
 namespace recpriv::anon {
@@ -32,18 +34,19 @@ struct TClosenessReport {
 };
 
 /// Total variation distance between two count histograms (as fractions).
-double TotalVariationDistance(const std::vector<uint64_t>& counts,
-                              const std::vector<uint64_t>& reference);
+double TotalVariationDistance(std::span<const uint64_t> counts,
+                              std::span<const uint64_t> reference);
 
 /// Checks t-closeness of every personal group against the global SA
 /// distribution. Requires t in [0, 1].
-TClosenessReport CheckTCloseness(const recpriv::table::GroupIndex& index,
-                                 double t);
+TClosenessReport CheckTCloseness(
+    const recpriv::table::FlatGroupIndex& index, double t);
 
 /// Enforces t-closeness by SMOOTHING: for each failing group, blends its SA
 /// distribution toward the global one just enough to reach distance t, and
 /// rewrites the group's SA values to realize the blended distribution
-/// (largest-remainder apportionment; which records flip is random).
+/// (largest-remainder apportionment; which records flip is random: each
+/// group's rows, in table::SeededRowOrder, are shuffled with `rng`).
 /// Returns the smoothed table. This is the utility-destroying alternative
 /// the paper argues against; the bench suite quantifies the damage.
 Result<recpriv::table::Table> EnforceTClosenessBySmoothing(

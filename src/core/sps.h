@@ -28,7 +28,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "core/reconstruction_privacy.h"
-#include "table/group_index.h"
 #include "table/table.h"
 
 namespace recpriv::core {
@@ -63,7 +62,10 @@ struct SpsCountsResult {
 };
 
 /// Runs SPS on a whole table; output rows are grouped by personal group
-/// (sorted NA order), matching the paper's sort-then-scan pipeline.
+/// (sorted NA order), matching the paper's sort-then-scan pipeline. Groups
+/// come from FlatGroupIndex::Build; within a group, records are visited
+/// (and draw from `rng`) in table::SeededRowOrder, which makes that order
+/// part of the output for a given seed.
 Result<SpsTableResult> SpsPerturbTable(const PrivacyParams& params,
                                        const recpriv::table::Table& input,
                                        Rng& rng);

@@ -5,14 +5,12 @@
 #include <utility>
 
 #include "perturb/uniform_perturbation.h"
-#include "table/group_index.h"
 
 namespace recpriv::core {
 
 using recpriv::perturb::PerturbValue;
 using recpriv::perturb::UniformPerturbation;
 using recpriv::table::FlatGroupIndex;
-using recpriv::table::GroupIndex;
 using recpriv::table::SchemaPtr;
 using recpriv::table::Table;
 
@@ -51,8 +49,9 @@ int LexCompare(const uint32_t* a, const uint32_t* b, size_t n_pub) {
 }
 
 /// Folds `delta` into the cumulative raw run (histograms summed on key
-/// collisions) and collects the touched groups — every delta key with its
-/// full merged histogram — in ascending key order.
+/// collisions) and, when the outputs are non-null, collects the touched
+/// groups — every delta key with its full merged histogram — in ascending
+/// key order.
 void MergeIntoRawRun(size_t n_pub, size_t m, std::vector<uint32_t>& raw_na,
                      std::vector<uint64_t>& raw_counts, const SideRun& delta,
                      std::vector<uint32_t>* touched_na,
@@ -84,7 +83,9 @@ void MergeIntoRawRun(size_t n_pub, size_t m, std::vector<uint32_t>& raw_na,
     }
     const uint32_t* key = delta.na.data() + j * n_pub;
     new_na.insert(new_na.end(), key, key + n_pub);
-    touched_na->insert(touched_na->end(), key, key + n_pub);
+    if (touched_na != nullptr) {
+      touched_na->insert(touched_na->end(), key, key + n_pub);
+    }
     const size_t hist_at = new_counts.size();
     new_counts.insert(new_counts.end(), delta.counts.data() + j * m,
                       delta.counts.data() + (j + 1) * m);
@@ -94,8 +95,10 @@ void MergeIntoRawRun(size_t n_pub, size_t m, std::vector<uint32_t>& raw_na,
       }
       ++i;
     }
-    touched_counts->insert(touched_counts->end(),
-                           new_counts.begin() + hist_at, new_counts.end());
+    if (touched_counts != nullptr) {
+      touched_counts->insert(touched_counts->end(),
+                             new_counts.begin() + hist_at, new_counts.end());
+    }
     ++j;
   }
   raw_na.swap(new_na);
@@ -166,51 +169,24 @@ Result<std::vector<uint32_t>> StreamingPublisher::InsertAndRelease(
 }
 
 ViolationReport StreamingPublisher::Audit() const {
-  return AuditViolations(GroupIndex::Build(buffer_), params_);
+  const FlatGroupIndex index = FlatGroupIndex::Build(buffer_);
+  return AuditViolations(index.storage().sa_counts, params_.domain_m,
+                         params_);
 }
 
 ViolationReport StreamingPublisher::AuditFromRuns() const {
   const size_t n_pub = buffer_.schema()->public_indices().size();
   const size_t m = params_.domain_m;
-  SideRun pending;
-  if (pending_delta_rows() > 0) {
-    pending = BuildSideRun(buffer_, published_rows_);
+  if (pending_delta_rows() == 0) {
+    return AuditViolations(raw_counts_, m, params_);
   }
-
-  // (size, max frequency) profile of every group of raw run ⊕ pending
-  // delta, merged by key — the same groups Audit() builds from the buffer.
-  const uint64_t gr = raw_counts_.size() / m;
-  std::vector<std::pair<uint64_t, double>> profiles;
-  uint64_t i = 0, j = 0;
-  std::vector<uint64_t> hist(m);
-  while (i < gr || j < pending.num_groups) {
-    int cmp;
-    if (i == gr) {
-      cmp = 1;
-    } else if (j == pending.num_groups) {
-      cmp = -1;
-    } else {
-      cmp = LexCompare(raw_na_.data() + i * n_pub,
-                       pending.na.data() + j * n_pub, n_pub);
-    }
-    std::fill(hist.begin(), hist.end(), 0);
-    if (cmp <= 0) {
-      for (size_t sa = 0; sa < m; ++sa) hist[sa] += raw_counts_[i * m + sa];
-      ++i;
-    }
-    if (cmp >= 0) {
-      for (size_t sa = 0; sa < m; ++sa) hist[sa] += pending.counts[j * m + sa];
-      ++j;
-    }
-    uint64_t size = 0, max_count = 0;
-    for (const uint64_t c : hist) {
-      size += c;
-      max_count = std::max(max_count, c);
-    }
-    profiles.emplace_back(
-        size, size == 0 ? 0.0 : double(max_count) / double(size));
-  }
-  return AuditViolations(profiles, params_);
+  // Raw run ⊕ pending delta, merged by key: the same histogram matrix
+  // Audit() builds from the whole buffer, without re-grouping it.
+  std::vector<uint32_t> na = raw_na_;
+  std::vector<uint64_t> counts = raw_counts_;
+  MergeIntoRawRun(n_pub, m, na, counts,
+                  BuildSideRun(buffer_, published_rows_), nullptr, nullptr);
+  return AuditViolations(counts, m, params_);
 }
 
 Result<SpsTableResult> StreamingPublisher::Publish(Rng& rng) const {

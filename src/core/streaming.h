@@ -79,11 +79,10 @@ class StreamingPublisher {
   ViolationReport Audit() const;
 
   /// Same audit computed from the incremental representation (the
-  /// cumulative raw-group run plus the not-yet-published delta rows)
-  /// instead of re-grouping the whole buffer — agrees with Audit() on
-  /// every aggregate (group/record counts and rates; the reported group
-  /// ids are in key order rather than first-occurrence order), in
-  /// O(groups + delta) after the side grouping.
+  /// cumulative raw-group run merged with the not-yet-published delta
+  /// rows) instead of re-grouping the whole buffer. Both feed the same
+  /// key-ordered histogram matrix to AuditViolations, so the reports are
+  /// identical; this one costs O(groups + delta) after the side grouping.
   ViolationReport AuditFromRuns() const;
 
   /// Full SPS snapshot of the current buffer (Theorem 4/5 guarantees).

@@ -1,31 +1,25 @@
 #include "core/violation.h"
 
+#include <algorithm>
+
+#include "common/logging.h"
+
 namespace recpriv::core {
 
-ViolationReport AuditViolations(const recpriv::table::GroupIndex& index,
+ViolationReport AuditViolations(std::span<const uint64_t> sa_counts, size_t m,
                                 const PrivacyParams& params) {
+  RECPRIV_CHECK(m > 0 && sa_counts.size() % m == 0)
+      << "histogram matrix is not num_groups x m";
   ViolationReport report;
-  report.num_groups = index.num_groups();
-  report.num_records = index.num_records();
-  for (size_t gi = 0; gi < index.groups().size(); ++gi) {
-    const auto& g = index.groups()[gi];
-    if (!GroupIsPrivate(params, g)) {
-      ++report.violating_groups;
-      report.violating_records += g.size();
-      report.violating_group_ids.push_back(gi);
+  report.num_groups = sa_counts.size() / m;
+  for (size_t gi = 0; gi < report.num_groups; ++gi) {
+    uint64_t size = 0, max_count = 0;
+    for (const uint64_t c : sa_counts.subspan(gi * m, m)) {
+      size += c;
+      max_count = std::max(max_count, c);
     }
-  }
-  return report;
-}
-
-ViolationReport AuditViolations(
-    const std::vector<std::pair<uint64_t, double>>& group_profiles,
-    const PrivacyParams& params) {
-  ViolationReport report;
-  report.num_groups = group_profiles.size();
-  for (size_t gi = 0; gi < group_profiles.size(); ++gi) {
-    const auto& [size, max_f] = group_profiles[gi];
     report.num_records += size;
+    const double max_f = size == 0 ? 0.0 : double(max_count) / double(size);
     if (!GroupIsPrivate(params, size, max_f)) {
       ++report.violating_groups;
       report.violating_records += size;

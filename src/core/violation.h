@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/reconstruction_privacy.h"
-#include "table/group_index.h"
 
 namespace recpriv::core {
 
@@ -22,7 +22,7 @@ struct ViolationReport {
   size_t num_records = 0;
   size_t violating_groups = 0;
   uint64_t violating_records = 0;
-  std::vector<size_t> violating_group_ids;  ///< indices into the GroupIndex
+  std::vector<size_t> violating_group_ids;  ///< rows of the audited matrix
 
   /// v_g: fraction of groups violating.
   double GroupViolationRate() const {
@@ -40,16 +40,16 @@ struct ViolationReport {
   }
 };
 
-/// Audits every personal group of `index` against `params` (Corollary 4).
-/// This asks: if D* were produced by plain UP at params.retention_p, which
-/// groups would admit an accurate personal reconstruction?
-ViolationReport AuditViolations(const recpriv::table::GroupIndex& index,
+/// Audits every personal group against `params` (Corollary 4). This asks:
+/// if D* were produced by plain UP at params.retention_p, which groups
+/// would admit an accurate personal reconstruction?
+///
+/// The groups are given by their SA histograms: `sa_counts` is the
+/// num_groups x m row-major matrix that FlatGroupIndex stores as its
+/// `sa_counts` section (pass `index.storage().sa_counts`). A group's size
+/// is its row's sum and its `f` the largest bin over that sum (Eq. 10); an
+/// all-zero row is an empty group, which is trivially private.
+ViolationReport AuditViolations(std::span<const uint64_t> sa_counts, size_t m,
                                 const PrivacyParams& params);
-
-/// Audit over raw (group size, max frequency) pairs — used by the count-path
-/// experiment harness.
-ViolationReport AuditViolations(
-    const std::vector<std::pair<uint64_t, double>>& group_profiles,
-    const PrivacyParams& params);
 
 }  // namespace recpriv::core

@@ -33,7 +33,6 @@ Result<BatchResult> MicroBatcher::Slice(const Pending& batch, size_t offset,
   RECPRIV_RETURN_NOT_OK(batch.status);
   BatchResult out;
   out.epoch = batch.epoch;
-  out.strategy_used = batch.strategy_used;
   out.answers.assign(batch.answers.begin() + offset,
                      batch.answers.begin() + offset + count);
   for (const Answer& a : out.answers) {
@@ -140,7 +139,6 @@ Result<BatchResult> MicroBatcher::Submit(const std::string& release,
 
   if (merged_result.ok()) {
     batch->epoch = merged_result->epoch;
-    batch->strategy_used = merged_result->strategy_used;
     batch->answers = std::move(merged_result->answers);
   } else {
     batch->status = merged_result.status();

@@ -102,7 +102,6 @@ class MicroBatcher {
     Status status = Status::OK();
     std::vector<Answer> answers;  ///< merged answers when ok
     uint64_t epoch = 0;
-    EvalStrategy strategy_used = EvalStrategy::kPostings;
     std::condition_variable cv;
   };
   using PendingPtr = std::shared_ptr<Pending>;

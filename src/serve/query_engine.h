@@ -10,19 +10,12 @@
 // own manifest parameters (p, m). Consumers never see raw data — only the
 // already-perturbed release — so the engine adds no privacy surface.
 //
-// Batches are evaluated in parallel on a work-stealing pool with one of two
-// strategies, chosen per batch:
-//
-//  * per-query postings: each worker takes a slice of the batch and
-//    answers its queries by posting-list intersection with reused scratch
-//    buffers. Wins when predicates are selective (the common case: the
-//    paper's pools have dimensionality 1-3).
-//  * shard-by-group: the release's groups are split into contiguous
-//    shards; each worker scans its shard once, accumulating partial
-//    (O*, |S*|) sums for every query of the batch, and the partials are
-//    reduced at the end. Wins when the batch is large relative to the
-//    number of groups or predicates are mostly unselective (posting
-//    intersection would touch nearly every group per query anyway).
+// Batches are evaluated in parallel on a work-stealing pool: each worker
+// takes a slice of the batch's uncached queries and answers each one by
+// posting-list intersection (GroupPostingIndex) with reused scratch
+// buffers, summing the matched groups' histogram bins. The fused scan
+// kernel behind EvaluateUncached is the independent reference these
+// answers are checked against, not a second serving path.
 //
 // Answers are memoized in an LRU cache keyed by (release name, epoch,
 // canonical query bytes) — see serve/answer_cache.h for the invalidation
@@ -59,17 +52,15 @@ inline bool DeadlineExpired(const Deadline& deadline) {
          std::chrono::steady_clock::now() >= *deadline;
 }
 
-/// How a batch's uncached queries are evaluated.
-enum class EvalStrategy {
-  kAuto,       ///< pick per batch: shard-by-group when batch >= groups/4
-  kPostings,   ///< per-query posting-list intersection
-  kGroupShard  ///< one pass over group shards, all queries at once
-};
+/// How a batch's uncached queries were evaluated. The engine has one
+/// evaluator and always reports kPostings; kGroupShard names a removed
+/// strategy and is kept only so batch reports that count it (the recbench
+/// `engine.groupshard_batch_share` metric) still compile and read 0.
+enum class EvalStrategy { kPostings, kGroupShard };
 
 struct QueryEngineOptions {
   size_t num_threads = 0;       ///< 0 = hardware concurrency
   size_t cache_capacity = 1 << 16;  ///< LRU entries; 0 disables caching
-  EvalStrategy strategy = EvalStrategy::kAuto;
   /// Micro-batching scheduler (serve/micro_batcher.h): same-snapshot
   /// submissions arriving within this window are fused into one batch
   /// evaluation. 0 disables the scheduler (AnswerBatchScheduled degrades
@@ -99,7 +90,7 @@ struct BatchResult {
   uint64_t epoch = 0;           ///< snapshot epoch the batch was served from
   size_t cache_hits = 0;
   size_t cache_misses = 0;
-  EvalStrategy strategy_used = EvalStrategy::kPostings;
+  EvalStrategy strategy_used = EvalStrategy::kPostings;  ///< always kPostings
 };
 
 /// Parallel batched count-query engine over a ReleaseStore.

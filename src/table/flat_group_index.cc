@@ -78,7 +78,7 @@ bool FlatGroupIndex::DeriveKeyLayout(bool want_packed) {
   packed_ = want_packed && total_bits <= 64;
   if (packed_) {
     // Attribute 0 occupies the highest bits so that numeric key order is
-    // the NA-lexicographic order of GroupIndex::Build.
+    // NA-lexicographic order.
     key_shifts_.assign(n_pub, 0);
     uint32_t below = total_bits;
     for (size_t k = 0; k < n_pub; ++k) {
@@ -109,7 +109,7 @@ FlatGroupIndex FlatGroupIndex::Build(const Table& t, KeyMode mode) {
   for (const uint32_t b : idx.key_bits_) total_bits += b;
 
   // Raw column pointers: the build touches each public column once to pack
-  // keys, instead of gathering per comparison like the legacy sort.
+  // keys instead of gathering per comparison.
   std::vector<const uint32_t*> cols(n_pub);
   for (size_t k = 0; k < n_pub; ++k) {
     cols[k] = t.column(idx.public_idx_[k]).data();
@@ -601,6 +601,21 @@ void FlatGroupIndex::AnswerInto(const Predicate& pred, uint32_t sa,
     fused.packed_want = want;
   }
   simd::FusedCountSums(fused, observed, matched_size);
+}
+
+std::vector<uint32_t> SeededRowOrder(const Table& t) {
+  std::vector<uint32_t> order(t.num_rows());
+  std::iota(order.begin(), order.end(), 0u);
+  const std::vector<size_t> pub = t.schema()->public_indices();
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    for (size_t attr : pub) {
+      const uint32_t va = t.at(a, attr);
+      const uint32_t vb = t.at(b, attr);
+      if (va != vb) return va < vb;
+    }
+    return false;
+  });
+  return order;
 }
 
 GroupPostingIndex::GroupPostingIndex(const FlatGroupIndex& index)

@@ -1,24 +1,24 @@
-// Columnar personal-group index — the cache-friendly successor to
-// GroupIndex (paper §3.2, §5 preprocessing) for every scan-bound workload.
+// Personal-group index (paper §3.2, §5 preprocessing), columnar.
 //
-// GroupIndex stores one PersonalGroup struct per group, each carrying three
-// separately heap-allocated vectors; a group scan is a pointer-chasing walk.
-// FlatGroupIndex stores the same information in four contiguous columns:
+// A *personal group* D(x1,...,xn) is the set of records agreeing on every
+// public attribute. The paper's SPS algorithm sorts D by NA to form all
+// personal groups with per-SA-value frequencies; this index is that sorted
+// pass, materialized. It also serves aggregate groups: a predicate with
+// wildcards matches a union of personal groups, and SA histograms add up.
+// The index stores four contiguous columns:
 //
 //   na_codes_     num_groups x num_public   NA key of each group, row-major
 //   sa_counts_    num_groups x m            SA histogram matrix, row-major
 //   row_offsets_  num_groups + 1            CSR offsets into row_values_
 //   row_values_   num_records               group members, group-major
 //
-// Build() replaces the legacy comparator sort (one multi-attribute column
-// gather per comparison) with a pack-keys-then-sort pass: when the public
-// domains fit 64 bits, each row's NA key is bit-packed into a uint64_t
-// (attribute 0 in the highest bits, so numeric order == lexicographic
-// order), the (packed_key, row) pairs are radix-sorted, and groups fall out
-// of one run-length pass. Domains too wide for 64 bits take a fallback path
-// over contiguous row-major wide keys. Either way the group order is the
-// NA-lexicographic order of GroupIndex::Build, so group ids are
-// interchangeable between the two layouts.
+// Build() is a pack-keys-then-sort pass: when the public domains fit 64
+// bits, each row's NA key is bit-packed into a uint64_t (attribute 0 in the
+// highest bits, so numeric order == lexicographic order), the (packed_key,
+// row) pairs are radix-sorted, and groups fall out of one run-length pass.
+// Domains too wide for 64 bits take a fallback path over contiguous
+// row-major wide keys. Either way groups come out in NA-lexicographic
+// order.
 //
 // FindGroup is a binary search over the sorted keys; AnswerInto fuses
 // predicate matching with the histogram-column sum so a count query needs
@@ -216,7 +216,8 @@ class FlatGroupIndex {
 
   /// Fused count-query kernel: one scan accumulating both the observed
   /// count O* = sum sa_counts[sa] and the matched size |S*| over the
-  /// groups matching `pred`. The serving engine's uncached path. The scan
+  /// groups matching `pred`. The reference the serving engine's answers
+  /// are checked against (serve::EvaluateUncached). The scan
   /// body is dispatched to the best SIMD kernel the host supports (see
   /// table/simd/dispatch.h); every level is bit-identical by construction
   /// (integer sums only). The scratch-less overload uses the shared
@@ -275,12 +276,22 @@ class FlatGroupIndex {
   std::span<const uint32_t> row_values_;   // num_records, group-major
 };
 
+/// The within-group row order of a seeded release: row ids sorted by NA key
+/// with std::sort and a per-attribute comparator. SPS (core/sps.h) and
+/// t-closeness smoothing (anon/tcloseness.h) draw their per-record random
+/// numbers in this order, so it is part of every seeded release's bit-exact
+/// output. The sort is not stable: rows of one group do not come out
+/// ascending, so this order differs from FlatGroupIndex::rows(). Groups
+/// appear in the same NA-lexicographic order as FlatGroupIndex::Build(t),
+/// so consecutive slices of group_size(g) rows are exactly the members of
+/// groups 0, 1, 2, ... of that index.
+std::vector<uint32_t> SeededRowOrder(const Table& t);
+
 /// Inverted index over a FlatGroupIndex: for each (public attribute, value),
 /// the sorted list of group ids carrying that value. Speeds up group
 /// matching for low-dimensionality predicates from O(|G|) to the size of
 /// the smallest posting list (used by query-pool generation, where millions
-/// of candidate selectivity checks are made, and by the serving engine's
-/// per-query strategy).
+/// of candidate selectivity checks are made, and by the serving engine).
 class GroupPostingIndex {
  public:
   explicit GroupPostingIndex(const FlatGroupIndex& index);

@@ -15,14 +15,6 @@ std::atomic<DispatchLevel> g_requested{DispatchLevel::kAuto};
 /// One-time warning latch for an unparseable RECPRIV_SIMD value.
 std::atomic<bool> g_env_warned{false};
 
-bool HostSupportsNeon() {
-#if defined(__aarch64__) || defined(__ARM_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
 /// kAuto -> the best level the host supports; RECPRIV_SIMD, when set,
 /// replaces kAuto as the request (so a programmatic SetDispatchLevel still
 /// wins over the environment).
@@ -36,21 +28,14 @@ DispatchLevel ResolveAuto() {
                            << "': " << parsed.status().message();
     }
   }
-  if (HostSupportsAvx2()) return DispatchLevel::kAvx2;
-  if (HostSupportsNeon()) return DispatchLevel::kNeon;
-  return DispatchLevel::kScalar;
+  return HostSupportsAvx2() ? DispatchLevel::kAvx2 : DispatchLevel::kScalar;
 }
 
 /// Degrades a requested level to one the host can actually execute.
 DispatchLevel Executable(DispatchLevel level) {
-  switch (level) {
-    case DispatchLevel::kAvx2:
-      return HostSupportsAvx2() ? level : DispatchLevel::kScalar;
-    case DispatchLevel::kNeon:
-      return HostSupportsNeon() ? level : DispatchLevel::kScalar;
-    default:
-      return DispatchLevel::kScalar;
-  }
+  return level == DispatchLevel::kAvx2 && HostSupportsAvx2()
+             ? DispatchLevel::kAvx2
+             : DispatchLevel::kScalar;
 }
 
 }  // namespace
@@ -60,7 +45,6 @@ const char* LevelName(DispatchLevel level) {
     case DispatchLevel::kAuto: return "auto";
     case DispatchLevel::kScalar: return "scalar";
     case DispatchLevel::kAvx2: return "avx2";
-    case DispatchLevel::kNeon: return "neon";
   }
   return "unknown";
 }
@@ -69,10 +53,9 @@ Result<DispatchLevel> ParseDispatchLevel(std::string_view name) {
   if (name == "auto") return DispatchLevel::kAuto;
   if (name == "scalar") return DispatchLevel::kScalar;
   if (name == "avx2") return DispatchLevel::kAvx2;
-  if (name == "neon") return DispatchLevel::kNeon;
   return Status::InvalidArgument(
       "unknown SIMD dispatch level '" + std::string(name) +
-      "' (expected auto, scalar, avx2, or neon)");
+      "' (expected auto, scalar, or avx2)");
 }
 
 bool HostSupportsAvx2() {
@@ -95,16 +78,10 @@ void SetDispatchLevel(DispatchLevel level) {
 
 void FusedCountSums(const FusedCountArgs& args, uint64_t* observed,
                     uint64_t* matched_size) {
-  switch (ActiveLevel()) {
-    case DispatchLevel::kAvx2:
-      FusedCountSumsAvx2(args, observed, matched_size);
-      return;
-    case DispatchLevel::kNeon:
-      FusedCountSumsNeon(args, observed, matched_size);
-      return;
-    default:
-      FusedCountSumsScalar(args, observed, matched_size);
-      return;
+  if (ActiveLevel() == DispatchLevel::kAvx2) {
+    FusedCountSumsAvx2(args, observed, matched_size);
+  } else {
+    FusedCountSumsScalar(args, observed, matched_size);
   }
 }
 

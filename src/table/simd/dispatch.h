@@ -7,8 +7,6 @@
 //            semantics every other level must reproduce bit-identically
 //   kAvx2    x86-64 AVX2: 8 groups per iteration, gathered NA-code
 //            compares, masked 64-bit gathers for the histogram column
-//   kNeon    aarch64 stub — currently forwards to scalar (the columns and
-//            contract are in place; the intrinsics are future work)
 //
 // Bit-identity across levels is by construction: every kernel computes the
 // same two uint64 sums with integer arithmetic only, and unsigned addition
@@ -16,8 +14,8 @@
 // order-dependence. tests/simd_kernel_test.cc enforces this differentially.
 //
 // Selection: the first call resolves kAuto from the host CPU, overridable
-// by the RECPRIV_SIMD environment variable ("auto", "scalar", "avx2",
-// "neon") or programmatically via SetDispatchLevel (tests, benches). A
+// by the RECPRIV_SIMD environment variable ("auto", "scalar", "avx2") or
+// programmatically via SetDispatchLevel (tests, benches). A
 // requested level the host cannot run falls back to scalar rather than
 // faulting.
 
@@ -32,9 +30,9 @@
 
 namespace recpriv::table::simd {
 
-enum class DispatchLevel { kAuto, kScalar, kAvx2, kNeon };
+enum class DispatchLevel { kAuto, kScalar, kAvx2 };
 
-/// Human-readable level name ("auto", "scalar", "avx2", "neon").
+/// Human-readable level name ("auto", "scalar", "avx2").
 const char* LevelName(DispatchLevel level);
 
 /// Parses a level name (case-sensitive, as documented for RECPRIV_SIMD).
@@ -94,8 +92,6 @@ void FusedCountSums(const FusedCountArgs& args, uint64_t* observed,
 void FusedCountSumsScalar(const FusedCountArgs& args, uint64_t* observed,
                           uint64_t* matched_size);
 void FusedCountSumsAvx2(const FusedCountArgs& args, uint64_t* observed,
-                        uint64_t* matched_size);
-void FusedCountSumsNeon(const FusedCountArgs& args, uint64_t* observed,
                         uint64_t* matched_size);
 
 }  // namespace recpriv::table::simd

@@ -1,20 +1,22 @@
-// FlatGroupIndex tests: layout invariants, the packed/wide key paths, and a
-// randomized property suite asserting the columnar index agrees with the
-// legacy GroupIndex on groups, SA histograms, MatchingGroups, FindGroup,
-// and CountAnswer across schemas — including domains too wide for the
-// packed-key fast path.
+// FlatGroupIndex tests: hand-checked groups of a small table, layout
+// invariants, the packed/wide key paths, and a randomized property suite
+// asserting the index agrees with a naive map-based grouping on groups, SA
+// histograms, MatchingGroups, FindGroup, and CountAnswer across schemas —
+// including domains too wide for the packed-key fast path. Also covers the
+// posting-list index and the seeded row order.
 
 #include "table/flat_group_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
-#include "table/group_index.h"
 
 namespace recpriv::table {
 namespace {
@@ -50,35 +52,188 @@ Table RandomTable(const SchemaPtr& schema, size_t rows, Rng& rng) {
   return t;
 }
 
-/// Full agreement check between the two layouts for one table.
+// --- hand-checked groups of a small table ----------------------------------
+
+SchemaPtr MakeHandSchema() {
+  std::vector<Attribute> attrs;
+  attrs.push_back(
+      Attribute{"Gender", *Dictionary::FromValues({"male", "female"})});
+  attrs.push_back(
+      Attribute{"Job", *Dictionary::FromValues({"eng", "law"})});
+  attrs.push_back(
+      Attribute{"Disease", *Dictionary::FromValues({"flu", "hiv", "bc"})});
+  return std::make_shared<Schema>(*Schema::Make(std::move(attrs), 2));
+}
+
+Table MakeHandTable() {
+  Table t(MakeHandSchema());
+  // (male, eng): flu, flu, hiv    (male, law): bc
+  // (female, eng): hiv, hiv       (female, law): flu, bc
+  const uint32_t rows[][3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 1}, {0, 1, 2},
+                              {1, 0, 1}, {1, 0, 1}, {1, 1, 0}, {1, 1, 2}};
+  for (const auto& r : rows) {
+    EXPECT_TRUE(t.AppendRow(std::vector<uint32_t>{r[0], r[1], r[2]}).ok());
+  }
+  return t;
+}
+
+std::vector<uint32_t> Key(std::initializer_list<uint32_t> codes) {
+  return std::vector<uint32_t>(codes);
+}
+
+TEST(FlatGroupIndexTest, BuildsAllPersonalGroups) {
+  const FlatGroupIndex idx = FlatGroupIndex::Build(MakeHandTable());
+  EXPECT_EQ(idx.num_groups(), 4u);
+  EXPECT_EQ(idx.num_records(), 8u);
+  EXPECT_DOUBLE_EQ(idx.AverageGroupSize(), 2.0);
+
+  const size_t gi = *idx.FindGroup(Key({0, 0}));  // male, eng
+  EXPECT_EQ(idx.group_size(gi), 3u);
+  EXPECT_EQ(std::vector<uint64_t>(idx.sa_counts(gi).begin(),
+                                  idx.sa_counts(gi).end()),
+            (std::vector<uint64_t>{2, 1, 0}));
+  EXPECT_NEAR(idx.Frequency(gi, 0), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(idx.MaxFrequency(gi), 2.0 / 3.0, 1e-12);
+}
+
+TEST(FlatGroupIndexTest, GroupRowsPointIntoTable) {
+  const Table t = MakeHandTable();
+  const FlatGroupIndex idx = FlatGroupIndex::Build(t);
+  for (size_t g = 0; g < idx.num_groups(); ++g) {
+    for (const uint32_t r : idx.rows(g)) {
+      EXPECT_EQ(t.at(r, 0), idx.na_code(g, 0));
+      EXPECT_EQ(t.at(r, 1), idx.na_code(g, 1));
+    }
+  }
+}
+
+TEST(FlatGroupIndexTest, SaCountsSumToGroupSize) {
+  const FlatGroupIndex idx = FlatGroupIndex::Build(MakeHandTable());
+  for (size_t g = 0; g < idx.num_groups(); ++g) {
+    uint64_t total = 0;
+    for (const uint64_t c : idx.sa_counts(g)) total += c;
+    EXPECT_EQ(total, idx.group_size(g));
+  }
+}
+
+TEST(FlatGroupIndexTest, MatchingGroupsHonoursWildcards) {
+  const FlatGroupIndex idx = FlatGroupIndex::Build(MakeHandTable());
+
+  Predicate all(3);  // unbound: every group
+  EXPECT_EQ(idx.MatchingGroups(all), (std::vector<uint32_t>{0, 1, 2, 3}));
+
+  Predicate male(3);
+  male.Bind(0, 0);
+  EXPECT_EQ(idx.MatchingGroups(male).size(), 2u);
+
+  Predicate male_law(3);
+  male_law.Bind(0, 0);
+  male_law.Bind(1, 1);
+  auto matches = idx.MatchingGroups(male_law);
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(std::vector<uint32_t>(idx.na_codes(matches[0]).begin(),
+                                  idx.na_codes(matches[0]).end()),
+            Key({0, 1}));
+}
+
+TEST(FlatGroupIndexTest, FindGroupRejectsNearMissKeys) {
+  const FlatGroupIndex idx = FlatGroupIndex::Build(MakeHandTable());
+  EXPECT_FALSE(idx.FindGroup(Key({0, 7})).ok());
+  EXPECT_FALSE(idx.FindGroup(Key({7, 0})).ok());
+  EXPECT_FALSE(idx.FindGroup(Key({0})).ok());        // short key
+  EXPECT_FALSE(idx.FindGroup(Key({0, 1, 0})).ok());  // long key
+
+  Table one(MakeHandSchema());
+  ASSERT_TRUE(one.AppendRow(std::vector<uint32_t>{0, 0, 0}).ok());
+  const FlatGroupIndex single = FlatGroupIndex::Build(one);
+  EXPECT_TRUE(single.FindGroup(Key({0, 0})).ok());
+  EXPECT_EQ(single.FindGroup(Key({1, 1})).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(FlatGroupIndexTest, EmptyGroupsCannotExist) {
+  // An empty group has no defined frequency. The index never holds one:
+  // Build emits only non-empty runs, MergeRuns drops an all-zero (tombstone)
+  // histogram, and FromStorage rejects an empty CSR slice.
+  const FlatGroupIndex base = FlatGroupIndex::Build(MakeHandTable());
+  const std::vector<uint32_t> key = Key({0, 0});
+  const std::vector<uint64_t> zero = {0, 0, 0};
+  const FlatGroupIndex::GroupRun tombstone{key, zero, 1};
+  auto merged = FlatGroupIndex::MergeRuns(
+      base.schema(), FlatGroupIndex::RunOf(base.storage()), tombstone);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(merged->num_groups(), 3u);
+  EXPECT_FALSE(merged->FindGroup(key).ok());
+  for (size_t g = 0; g < merged->num_groups(); ++g) {
+    EXPECT_GT(merged->group_size(g), 0u);
+  }
+
+  FlatGroupIndex::Storage s = base.storage();
+  std::vector<uint64_t> offsets(s.row_offsets.begin(), s.row_offsets.end());
+  offsets[1] = offsets[0];  // group 0 becomes an empty slice
+  s.row_offsets = offsets;
+  EXPECT_EQ(FlatGroupIndex::FromStorage(base.schema(), s).status().code(),
+            StatusCode::kDataLoss);
+}
+
+/// Reference personal groups of `t`, computed naively: an ordered map from
+/// NA key (public-index order) to the group's rows and SA histogram. The map
+/// orders keys lexicographically, which is the index's group order.
+struct RefGroup {
+  std::vector<uint32_t> rows;
+  std::vector<uint64_t> sa_counts;
+};
+std::map<std::vector<uint32_t>, RefGroup> ReferenceGroups(const Table& t) {
+  std::map<std::vector<uint32_t>, RefGroup> groups;
+  const auto pub = t.schema()->public_indices();
+  const size_t sa_col = t.schema()->sensitive_index();
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    std::vector<uint32_t> key;
+    for (size_t attr : pub) key.push_back(t.at(r, attr));
+    RefGroup& g = groups[key];
+    g.sa_counts.resize(t.schema()->sa_domain_size(), 0);
+    g.rows.push_back(uint32_t(r));
+    ++g.sa_counts[t.at(r, sa_col)];
+  }
+  return groups;
+}
+
+/// Full agreement check between the index and the reference groups.
 void ExpectAgreement(const Table& t, FlatGroupIndex::KeyMode mode,
                      Rng& rng) {
-  const GroupIndex legacy = GroupIndex::Build(t);
+  const auto ref = ReferenceGroups(t);
+  std::vector<std::vector<uint32_t>> ref_keys;
+  std::vector<const RefGroup*> ref_groups;
+  for (const auto& [key, g] : ref) {
+    ref_keys.push_back(key);
+    ref_groups.push_back(&g);
+  }
   const FlatGroupIndex flat = FlatGroupIndex::Build(t, mode);
 
-  ASSERT_EQ(flat.num_groups(), legacy.num_groups());
-  ASSERT_EQ(flat.num_records(), legacy.num_records());
-  EXPECT_DOUBLE_EQ(flat.AverageGroupSize(), legacy.AverageGroupSize());
+  ASSERT_EQ(flat.num_groups(), ref.size());
+  ASSERT_EQ(flat.num_records(), t.num_rows());
+  EXPECT_DOUBLE_EQ(flat.AverageGroupSize(),
+                   ref.empty() ? 0.0 : double(t.num_rows()) / ref.size());
 
-  for (size_t gi = 0; gi < legacy.num_groups(); ++gi) {
-    const PersonalGroup& g = legacy.groups()[gi];
+  for (size_t gi = 0; gi < ref_keys.size(); ++gi) {
+    const RefGroup& g = *ref_groups[gi];
     // Same group order (NA-lexicographic), same keys, same histograms.
     ASSERT_EQ(std::vector<uint32_t>(flat.na_codes(gi).begin(),
                                     flat.na_codes(gi).end()),
-              g.na_codes)
+              ref_keys[gi])
         << "group " << gi;
     EXPECT_EQ(std::vector<uint64_t>(flat.sa_counts(gi).begin(),
                                     flat.sa_counts(gi).end()),
               g.sa_counts);
-    EXPECT_EQ(flat.group_size(gi), g.size());
-    EXPECT_DOUBLE_EQ(flat.MaxFrequency(gi), g.MaxFrequency());
-    // Same row sets (legacy row order within a group is unspecified).
-    std::vector<uint32_t> legacy_rows(g.rows.begin(), g.rows.end());
-    std::sort(legacy_rows.begin(), legacy_rows.end());
-    std::vector<uint32_t> flat_rows(flat.rows(gi).begin(),
-                                    flat.rows(gi).end());
-    std::sort(flat_rows.begin(), flat_rows.end());
-    EXPECT_EQ(flat_rows, legacy_rows);
+    EXPECT_EQ(flat.group_size(gi), g.rows.size());
+    uint64_t max_count = 0;
+    for (const uint64_t c : g.sa_counts) max_count = std::max(max_count, c);
+    EXPECT_DOUBLE_EQ(flat.MaxFrequency(gi),
+                     double(max_count) / double(g.rows.size()));
+    // Same rows, ascending (the reference collects them in table order).
+    EXPECT_EQ(std::vector<uint32_t>(flat.rows(gi).begin(),
+                                    flat.rows(gi).end()),
+              g.rows);
 
     // FindGroup locates every group by its own key.
     auto found = flat.FindGroup(flat.na_codes(gi));
@@ -87,9 +242,9 @@ void ExpectAgreement(const Table& t, FlatGroupIndex::KeyMode mode,
   }
 
   // Random predicates (wildcards, bound values, out-of-domain codes):
-  // MatchingGroups, CountAnswer and AnswerInto must agree with the legacy
-  // linear scan.
-  const auto& pub = legacy.public_indices();
+  // MatchingGroups, CountAnswer and AnswerInto must agree with a linear
+  // scan of the reference groups.
+  const auto& pub = flat.public_indices();
   const size_t n_attr = t.schema()->num_attributes();
   const size_t m = t.schema()->sa_domain_size();
   for (int trial = 0; trial < 40; ++trial) {
@@ -106,16 +261,23 @@ void ExpectAgreement(const Table& t, FlatGroupIndex::KeyMode mode,
           pred.Bind(attr, uint32_t(rng.NextUint64(dom)));
       }
     }
-    const std::vector<size_t> slow = legacy.MatchingGroups(pred);
-    const std::vector<uint32_t> fast = flat.MatchingGroups(pred);
-    ASSERT_EQ(std::vector<size_t>(fast.begin(), fast.end()), slow)
-        << pred.ToString(*t.schema());
+    std::vector<uint32_t> slow;
+    for (size_t gi = 0; gi < ref_keys.size(); ++gi) {
+      bool match = true;
+      for (size_t k = 0; k < pub.size(); ++k) {
+        if (pred.is_bound(pub[k]) && pred.code(pub[k]) != ref_keys[gi][k]) {
+          match = false;
+        }
+      }
+      if (match) slow.push_back(uint32_t(gi));
+    }
+    ASSERT_EQ(flat.MatchingGroups(pred), slow) << pred.ToString(*t.schema());
 
     const uint32_t sa = uint32_t(rng.NextUint64(m));
     uint64_t slow_obs = 0, slow_size = 0;
-    for (size_t gi : slow) {
-      slow_obs += legacy.groups()[gi].sa_counts[sa];
-      slow_size += legacy.groups()[gi].size();
+    for (uint32_t gi : slow) {
+      slow_obs += ref_groups[gi]->sa_counts[sa];
+      slow_size += ref_groups[gi]->rows.size();
     }
     EXPECT_EQ(flat.CountAnswer(pred, sa), slow_obs);
     uint64_t obs = 0, size = 0;
@@ -124,23 +286,23 @@ void ExpectAgreement(const Table& t, FlatGroupIndex::KeyMode mode,
     EXPECT_EQ(size, slow_size);
   }
 
-  // Missing keys are NotFound on both.
+  // Missing keys are NotFound.
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<uint32_t> key;
     for (size_t attr : pub) {
       key.push_back(uint32_t(
           rng.NextUint64(t.schema()->attribute(attr).domain.size() + 3)));
     }
-    const bool legacy_found = legacy.FindGroup(key).ok();
+    const auto it = ref.find(key);
     const auto flat_found = flat.FindGroup(key);
-    EXPECT_EQ(flat_found.ok(), legacy_found);
-    if (legacy_found) {
-      EXPECT_EQ(*flat_found, *legacy.FindGroup(key));
+    EXPECT_EQ(flat_found.ok(), it != ref.end());
+    if (it != ref.end()) {
+      EXPECT_EQ(*flat_found, size_t(std::distance(ref.begin(), it)));
     }
   }
 }
 
-TEST(FlatGroupIndexTest, AgreesWithLegacyAcrossRandomSchemas) {
+TEST(FlatGroupIndexTest, AgreesWithReferenceAcrossRandomSchemas) {
   Rng rng(20150407);
   for (int round = 0; round < 12; ++round) {
     const size_t n_pub = 1 + rng.NextUint64(4);
@@ -171,7 +333,7 @@ TEST(FlatGroupIndexTest, AgreesWithLegacyAcrossRandomSchemas) {
 TEST(FlatGroupIndexTest, WideDomainsFallBackAndAgree) {
   // 9 public attributes x 8 bits (129-value domains) = 72 key bits: the
   // packed path cannot hold the key, Build must choose the wide layout and
-  // still agree with the legacy index.
+  // still agree with the reference grouping.
   Rng rng(77);
   std::vector<size_t> domains(9, 129);
   SchemaPtr schema = MakeSchema(domains, 3);
@@ -254,6 +416,64 @@ TEST(GroupPostingIndexTest, CountAnswerMatchesFusedKernel) {
     }
     const uint32_t sa = uint32_t(rng.NextUint64(3));
     EXPECT_EQ(postings.CountAnswer(pred, sa), flat.CountAnswer(pred, sa));
+  }
+}
+
+TEST(GroupPostingIndexTest, AgreesWithLinearScan) {
+  const FlatGroupIndex flat = FlatGroupIndex::Build(MakeHandTable());
+  const GroupPostingIndex postings(flat);
+  for (int g = -1; g < 2; ++g) {
+    for (int j = -1; j < 2; ++j) {
+      Predicate p(3);
+      if (g >= 0) p.Bind(0, uint32_t(g));
+      if (j >= 0) p.Bind(1, uint32_t(j));
+      EXPECT_EQ(postings.MatchingGroups(p), flat.MatchingGroups(p))
+          << "g=" << g << " j=" << j;
+    }
+  }
+}
+
+TEST(GroupPostingIndexTest, CountAnswerSumsHistograms) {
+  const FlatGroupIndex flat = FlatGroupIndex::Build(MakeHandTable());
+  const GroupPostingIndex postings(flat);
+  Predicate eng(3);
+  eng.Bind(1, 0);  // Job = eng
+  // eng groups: (male,eng) flu=2, (female,eng) flu=0.
+  EXPECT_EQ(postings.CountAnswer(eng, 0), 2u);
+  EXPECT_EQ(postings.CountAnswer(eng, 1), 3u);  // hiv: 1 + 2
+}
+
+TEST(GroupPostingIndexTest, OutOfDomainCodeMatchesNothing) {
+  const FlatGroupIndex flat = FlatGroupIndex::Build(MakeHandTable());
+  const GroupPostingIndex postings(flat);
+  Predicate p(3);
+  p.Bind(0, 77);  // no such code
+  EXPECT_TRUE(postings.MatchingGroups(p).empty());
+}
+
+TEST(SeededRowOrderTest, SlicesAreTheIndexGroups) {
+  // Consecutive group_size(g) slices of the seeded order hold exactly the
+  // members of group g, for both key layouts.
+  Rng rng(404);
+  SchemaPtr schema = MakeSchema({3, 4, 2}, 3);
+  const Table t = RandomTable(schema, 5000, rng);
+  const std::vector<uint32_t> order = SeededRowOrder(t);
+  ASSERT_EQ(order.size(), t.num_rows());
+  EXPECT_EQ(SeededRowOrder(t), order);  // deterministic
+  for (auto mode : {FlatGroupIndex::KeyMode::kAuto,
+                    FlatGroupIndex::KeyMode::kForceWide}) {
+    const FlatGroupIndex flat = FlatGroupIndex::Build(t, mode);
+    size_t begin = 0;
+    for (size_t g = 0; g < flat.num_groups(); ++g) {
+      std::vector<uint32_t> slice(order.begin() + begin,
+                                  order.begin() + begin + flat.group_size(g));
+      begin += flat.group_size(g);
+      std::sort(slice.begin(), slice.end());
+      EXPECT_EQ(slice, std::vector<uint32_t>(flat.rows(g).begin(),
+                                             flat.rows(g).end()))
+          << "group " << g;
+    }
+    EXPECT_EQ(begin, order.size());
   }
 }
 

@@ -327,6 +327,7 @@ TEST(IncrementalPublishTest, AuditFromRunsAgreesWithAudit) {
     EXPECT_EQ(full.num_records, runs.num_records) << when;
     EXPECT_EQ(full.violating_groups, runs.violating_groups) << when;
     EXPECT_EQ(full.violating_records, runs.violating_records) << when;
+    EXPECT_EQ(full.violating_group_ids, runs.violating_group_ids) << when;
   };
   // Heavily skewed group 1 grows past s_g; group 0 stays small and mixed.
   for (size_t i = 0; i < 1500; ++i) {

@@ -362,10 +362,6 @@ TEST(MicroBatchTest, NonPoolLeaderWithAllWorkersParkedAsFollowersCompletes) {
   options.num_threads = 2;
   options.cache_capacity = 0;
   options.micro_batch_window_us = 30000;
-  // Force per-query postings: on the 4-group demo release the auto pick
-  // would be a shard scan, which inlines below its 64-group min grain and
-  // would never reach the ParallelFor dispatch under test.
-  options.strategy = EvalStrategy::kPostings;
   s.engine = std::make_shared<QueryEngine>(s.store, options);
   ASSERT_TRUE(s.store->Publish("demo", DemoBundle(7)).ok());
   auto snap = s.store->Get("demo");

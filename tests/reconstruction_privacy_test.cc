@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "core/violation.h"
 
 namespace recpriv::core {
 namespace {
@@ -124,13 +127,20 @@ TEST(CorollaryFourTest, ConsistentWithBestTailBound) {
 }
 
 TEST(GroupIsPrivateTest, UsesMaxFrequency) {
-  recpriv::table::PersonalGroup g;
-  g.rows.resize(1000);
-  g.sa_counts = {800, 200};
+  // The audit tests a group's histogram at its most frequent SA value's
+  // share, wherever that value sits in the histogram.
   auto params = Params(0.3, 0.3, 0.5, 2);
-  EXPECT_EQ(GroupIsPrivate(params, g),
-            GroupIsPrivate(params, 1000, 0.8));
-  EXPECT_FALSE(GroupIsPrivate(params, g));  // 1000 > s_g(0.8) ~ 90
+  EXPECT_FALSE(GroupIsPrivate(params, 1000, 0.8));  // 1000 > s_g(0.8) ~ 90
+  for (const std::vector<uint64_t>& hist :
+       {std::vector<uint64_t>{800, 200}, std::vector<uint64_t>{200, 800}}) {
+    const ViolationReport r = AuditViolations(hist, 2, params);
+    EXPECT_EQ(r.num_records, 1000u);
+    EXPECT_EQ(r.violating_groups, 1u);
+  }
+  // A group small enough for s_g(0.8) passes the same audit.
+  const std::vector<uint64_t> small = {8, 2};
+  EXPECT_TRUE(GroupIsPrivate(params, 10, 0.8));
+  EXPECT_EQ(AuditViolations(small, 2, params).violating_groups, 0u);
 }
 
 TEST(BestTailBoundTest, OneForZeroFrequency) {

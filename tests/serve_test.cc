@@ -1,12 +1,13 @@
 // Tests for the release-serving subsystem: thread pool, canonical query
 // encoding, LRU answer cache, ReleaseStore copy-on-publish snapshots, the
-// parallel batched QueryEngine (both evaluation strategies), cache
+// parallel batched QueryEngine (against its fused reference kernel), cache
 // invalidation on republish, a concurrent reader/republisher stress test,
 // and the line-delimited JSON wire protocol.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <numeric>
 #include <sstream>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "core/sps.h"
 #include "core/streaming.h"
+#include "datagen/adult.h"
 #include "datagen/simple.h"
 #include "perturb/mle.h"
 #include "query/canonical.h"
@@ -292,27 +294,63 @@ TEST(ReleaseStoreTest, PublishFromStreamingRepublishes) {
 
 // --- QueryEngine -----------------------------------------------------------
 
+// Large cache-off batches against an ADULT-shaped release (~1.3k personal
+// groups): batches of at least groups/4 queries, some repeated, so both the
+// within-batch dedup and the parallel split run. Every answer must equal the
+// fused reference kernel bit for bit at every thread count.
 TEST(QueryEngineTest, BatchMatchesSingleQueryReference) {
-  for (EvalStrategy strategy :
-       {EvalStrategy::kPostings, EvalStrategy::kGroupShard}) {
-    QueryEngineOptions options;
-    options.num_threads = 4;
-    options.strategy = strategy;
-    options.cache_capacity = 0;  // isolate the evaluation paths
-    Served s = MakeServed(options);
-    auto snap = *s.store->Get("simple");
+  Rng rng(2015);
+  const Table raw =
+      *recpriv::datagen::GenerateAdult({.num_records = 45222}, rng);
+  const auto raw_index = recpriv::table::FlatGroupIndex::Build(raw);
+  recpriv::query::QueryPoolConfig config;
+  config.pool_size = 1000;
+  const std::vector<CountQuery> pool =
+      *recpriv::query::GenerateQueryPool(raw_index, config, rng);
+  ASSERT_EQ(pool.size(), config.pool_size);
+  const PrivacyParams params = Params(raw.schema()->sa_domain_size());
+  auto sps = *recpriv::core::SpsPerturbTable(params, raw, rng);
+  std::string sensitive = sps.table.schema()->sensitive().name;
+  auto store = std::make_shared<ReleaseStore>();
+  const SnapshotPtr snap = *store->Publish(
+      "adult", ReleaseBundle{std::move(sps.table), params,
+                             std::move(sensitive), {}});
+  const size_t groups = snap->index.num_groups();
+  ASSERT_GT(groups, 1000u);
+  ASSERT_LT(groups, 2000u);
 
-    std::vector<CountQuery> batch = AllQueries(snap->bundle.data);
-    auto result = s.engine->AnswerBatch("simple", batch);
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(result->answers.size(), batch.size());
-    EXPECT_EQ(result->strategy_used, strategy);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Answer ref = EvaluateUncached(*snap, batch[i]);
-      EXPECT_EQ(result->answers[i].observed, ref.observed) << "query " << i;
-      EXPECT_EQ(result->answers[i].matched_size, ref.matched_size);
-      EXPECT_DOUBLE_EQ(result->answers[i].estimate, ref.estimate);
-      EXPECT_FALSE(result->answers[i].cached);
+  // Batches of groups/4 and of the whole pool, each drawn with
+  // replacement so the engine's within-batch dedup fires.
+  std::vector<std::vector<CountQuery>> batches;
+  for (const size_t size : {groups / 4, groups / 2, pool.size()}) {
+    std::vector<CountQuery> batch;
+    for (size_t i = 0; i < size; ++i) {
+      batch.push_back(pool[rng.NextUint64(pool.size())]);
+    }
+    batches.push_back(std::move(batch));
+  }
+
+  auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  for (const size_t threads : {size_t(1), size_t(2), size_t(4)}) {
+    QueryEngineOptions options;
+    options.num_threads = threads;
+    options.cache_capacity = 0;
+    QueryEngine engine(store, options);
+    for (const std::vector<CountQuery>& batch : batches) {
+      auto result = engine.AnswerBatch("adult", batch);
+      ASSERT_TRUE(result.ok());
+      ASSERT_EQ(result->answers.size(), batch.size());
+      EXPECT_EQ(result->strategy_used, EvalStrategy::kPostings);
+      EXPECT_EQ(result->cache_hits, 0u);
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const Answer ref = EvaluateUncached(*snap, batch[i]);
+        const Answer& got = result->answers[i];
+        EXPECT_EQ(got.observed, ref.observed)
+            << "threads " << threads << " query " << i;
+        EXPECT_EQ(got.matched_size, ref.matched_size);
+        EXPECT_EQ(bits(got.estimate), bits(ref.estimate));
+        EXPECT_FALSE(got.cached);
+      }
     }
   }
 }
@@ -466,7 +504,6 @@ TEST(QueryEngineTest, ConcurrentReadersAndRepublisherStayConsistent) {
 // histograms: both implement est = |S*| F' (Lemma 2(ii)).
 TEST(QueryEngineTest, AgreesWithOfflineEvaluationPipeline) {
   Table raw = *recpriv::datagen::GenerateSimpleExact(MakeSpec());
-  auto raw_index = recpriv::table::GroupIndex::Build(raw);
 
   Served s = MakeServed();
   auto snap = *s.store->Get("simple");

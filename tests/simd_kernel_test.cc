@@ -83,10 +83,9 @@ Predicate RandomPredicate(Rng& rng, const Schema& schema, double p_bind) {
 }
 
 /// Levels worth differencing on this host: scalar always, AVX2 when the
-/// CPU has it, NEON unconditionally (its stub must also stay identical).
+/// CPU has it.
 std::vector<DispatchLevel> LevelsUnderTest() {
-  std::vector<DispatchLevel> levels{DispatchLevel::kScalar,
-                                    DispatchLevel::kNeon};
+  std::vector<DispatchLevel> levels{DispatchLevel::kScalar};
   if (simd::HostSupportsAvx2()) levels.push_back(DispatchLevel::kAvx2);
   return levels;
 }
@@ -229,11 +228,7 @@ TEST(SimdKernelTest, RawKernelEntryPointsAgree) {
     uint64_t ref_obs = 0, ref_size = 0;
     simd::FusedCountSumsScalar(args, &ref_obs, &ref_size);
     uint64_t obs = 0, size = 0;
-    simd::FusedCountSumsNeon(args, &obs, &size);
-    EXPECT_EQ(obs, ref_obs);
-    EXPECT_EQ(size, ref_size);
     if (simd::HostSupportsAvx2()) {
-      obs = size = 0;
       simd::FusedCountSumsAvx2(args, &obs, &size);
       EXPECT_EQ(obs, ref_obs) << "avx2 bound_size=" << bound.size();
       EXPECT_EQ(size, ref_size) << "avx2 bound_size=" << bound.size();
@@ -302,11 +297,7 @@ TEST(SimdKernelTest, RawKernelPackedKeyPathAgrees) {
     uint64_t ref_obs = 0, ref_size = 0;
     simd::FusedCountSumsScalar(args, &ref_obs, &ref_size);
     uint64_t obs = 0, size = 0;
-    simd::FusedCountSumsNeon(args, &obs, &size);
-    EXPECT_EQ(obs, ref_obs) << "neon bound_size=" << bound.size();
-    EXPECT_EQ(size, ref_size) << "neon bound_size=" << bound.size();
     if (simd::HostSupportsAvx2()) {
-      obs = size = 0;
       simd::FusedCountSumsAvx2(args, &obs, &size);
       EXPECT_EQ(obs, ref_obs) << "avx2 bound_size=" << bound.size();
       EXPECT_EQ(size, ref_size) << "avx2 bound_size=" << bound.size();
@@ -317,13 +308,13 @@ TEST(SimdKernelTest, RawKernelPackedKeyPathAgrees) {
 TEST(SimdKernelTest, DispatchShim) {
   // Name/parse round trip.
   for (const DispatchLevel level :
-       {DispatchLevel::kAuto, DispatchLevel::kScalar, DispatchLevel::kAvx2,
-        DispatchLevel::kNeon}) {
+       {DispatchLevel::kAuto, DispatchLevel::kScalar, DispatchLevel::kAvx2}) {
     const auto parsed = simd::ParseDispatchLevel(simd::LevelName(level));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, level);
   }
   EXPECT_FALSE(simd::ParseDispatchLevel("sse9").ok());
+  EXPECT_FALSE(simd::ParseDispatchLevel("neon").ok());  // no such level
   EXPECT_FALSE(simd::ParseDispatchLevel("AVX2").ok());  // case-sensitive
 
   {

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "perturb/mle.h"
+#include "table/flat_group_index.h"
 #include "table/schema.h"
 
 namespace recpriv::core {
@@ -19,7 +20,7 @@ namespace {
 using recpriv::perturb::UniformPerturbation;
 using recpriv::table::Attribute;
 using recpriv::table::Dictionary;
-using recpriv::table::GroupIndex;
+using recpriv::table::FlatGroupIndex;
 using recpriv::table::Schema;
 using recpriv::table::SchemaPtr;
 using recpriv::table::Table;
@@ -201,10 +202,10 @@ TEST(SpsTableTest, NaColumnsNeverChange) {
   Rng rng(31);
   auto r = *SpsPerturbTable(params, input, rng);
   // Per-group output sizes ~ input sizes; NA codes only from {0,1}.
-  GroupIndex out_idx = GroupIndex::Build(r.table);
+  const FlatGroupIndex out_idx = FlatGroupIndex::Build(r.table);
   EXPECT_EQ(out_idx.num_groups(), 2u);
-  for (const auto& g : out_idx.groups()) {
-    EXPECT_LT(g.na_codes[0], 2u);
+  for (size_t g = 0; g < out_idx.num_groups(); ++g) {
+    EXPECT_LT(out_idx.na_code(g, 0), 2u);
   }
 }
 

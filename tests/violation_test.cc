@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "table/flat_group_index.h"
 #include "table/schema.h"
 
 namespace recpriv::core {
@@ -13,7 +14,7 @@ namespace {
 
 using recpriv::table::Attribute;
 using recpriv::table::Dictionary;
-using recpriv::table::GroupIndex;
+using recpriv::table::FlatGroupIndex;
 using recpriv::table::Schema;
 using recpriv::table::Table;
 
@@ -26,33 +27,53 @@ PrivacyParams Params(double lambda, double delta, double p, size_t m) {
   return params;
 }
 
-TEST(ViolationTest, ProfileOverloadCountsCorrectly) {
+/// A num_groups x 2 histogram matrix with every group's SA-0 share at
+/// `fifths`/5 (sizes are multiples of 5, so the share is exact).
+std::vector<uint64_t> Histograms(const std::vector<uint64_t>& sizes,
+                                 uint64_t fifths) {
+  std::vector<uint64_t> hist;
+  for (const uint64_t size : sizes) {
+    hist.push_back(size / 5 * fifths);
+    hist.push_back(size - size / 5 * fifths);
+  }
+  return hist;
+}
+
+TEST(ViolationTest, HistogramAuditCountsCorrectly) {
   auto params = Params(0.3, 0.3, 0.5, 2);
   const double s = MaxGroupSize(params, 0.8);
-  std::vector<std::pair<uint64_t, double>> profiles{
-      {uint64_t(s) - 1, 0.8},   // private
-      {uint64_t(s) + 10, 0.8},  // violating
-      {uint64_t(s) + 50, 0.8},  // violating
-  };
-  ViolationReport r = AuditViolations(profiles, params);
+  const uint64_t below = uint64_t(s - 1) / 5 * 5;       // private
+  const uint64_t above = (uint64_t(s) + 10) / 5 * 5 + 5;  // violating
+  const uint64_t far = (uint64_t(s) + 50) / 5 * 5 + 5;    // violating
+  ViolationReport r =
+      AuditViolations(Histograms({below, above, far}, 4), 2, params);
   EXPECT_EQ(r.num_groups, 3u);
+  EXPECT_EQ(r.num_records, below + above + far);
   EXPECT_EQ(r.violating_groups, 2u);
   EXPECT_EQ(r.violating_group_ids, (std::vector<size_t>{1, 2}));
-  EXPECT_EQ(r.violating_records, uint64_t(s) + 10 + uint64_t(s) + 50);
+  EXPECT_EQ(r.violating_records, above + far);
   EXPECT_NEAR(r.GroupViolationRate(), 2.0 / 3.0, 1e-12);
-  const double total = 3 * uint64_t(s) + 59;
-  EXPECT_NEAR(r.RecordViolationRate(), double(r.violating_records) / total,
-              1e-12);
+  EXPECT_NEAR(r.RecordViolationRate(),
+              double(above + far) / double(below + above + far), 1e-12);
 }
 
 TEST(ViolationTest, EmptyAudit) {
-  ViolationReport r = AuditViolations(
-      std::vector<std::pair<uint64_t, double>>{}, Params(0.3, 0.3, 0.5, 2));
+  ViolationReport r = AuditViolations(std::vector<uint64_t>{}, 2,
+                                      Params(0.3, 0.3, 0.5, 2));
+  EXPECT_EQ(r.num_groups, 0u);
   EXPECT_EQ(r.GroupViolationRate(), 0.0);
   EXPECT_EQ(r.RecordViolationRate(), 0.0);
 }
 
-TEST(ViolationTest, IndexOverloadMatchesProfiles) {
+TEST(ViolationTest, EmptyHistogramRowIsPrivate) {
+  ViolationReport r = AuditViolations(std::vector<uint64_t>{0, 0, 900, 100},
+                                      2, Params(0.3, 0.3, 0.5, 2));
+  EXPECT_EQ(r.num_groups, 2u);
+  EXPECT_EQ(r.num_records, 1000u);
+  EXPECT_EQ(r.violating_group_ids, (std::vector<size_t>{1}));
+}
+
+TEST(ViolationTest, IndexHistogramsMatchHandCounts) {
   std::vector<Attribute> attrs;
   attrs.push_back(Attribute{"G", *Dictionary::FromValues({"a", "b", "c"})});
   attrs.push_back(Attribute{"SA", *Dictionary::FromValues({"s0", "s1"})});
@@ -73,32 +94,32 @@ TEST(ViolationTest, IndexOverloadMatchesProfiles) {
     ASSERT_TRUE(
         t.AppendRow(std::vector<uint32_t>{2, (i % 10) < 6 ? 0u : 1u}).ok());
   }
-  GroupIndex idx = GroupIndex::Build(t);
+  const FlatGroupIndex idx = FlatGroupIndex::Build(t);
   auto params = Params(0.3, 0.3, 0.5, 2);
-  ViolationReport r = AuditViolations(idx, params);
+  ViolationReport r =
+      AuditViolations(idx.storage().sa_counts, idx.sa_domain(), params);
   EXPECT_EQ(r.num_groups, 3u);
   EXPECT_EQ(r.num_records, 4530u);
   EXPECT_EQ(r.violating_groups, 2u);
   EXPECT_EQ(r.violating_records, 4500u);
+  EXPECT_EQ(r.violating_group_ids, (std::vector<size_t>{0, 2}));
 
-  // Cross-check against the profile-based overload.
-  std::vector<std::pair<uint64_t, double>> profiles;
-  for (const auto& g : idx.groups()) {
-    profiles.emplace_back(g.size(), g.MaxFrequency());
-  }
-  ViolationReport r2 = AuditViolations(profiles, params);
-  EXPECT_EQ(r2.violating_groups, r.violating_groups);
-  EXPECT_EQ(r2.violating_records, r.violating_records);
+  // Cross-check against the per-group test on hand-written histograms.
+  ViolationReport by_hand = AuditViolations(
+      std::vector<uint64_t>{450, 50, 15, 15, 2400, 1600}, 2, params);
+  EXPECT_EQ(by_hand.violating_group_ids, r.violating_group_ids);
+  EXPECT_EQ(by_hand.violating_records, r.violating_records);
+  EXPECT_FALSE(GroupIsPrivate(params, 500, 0.9));
+  EXPECT_TRUE(GroupIsPrivate(params, 30, 0.5));
+  EXPECT_FALSE(GroupIsPrivate(params, 4000, 0.6));
 }
 
 TEST(ViolationTest, StricterParametersViolateMore) {
   // Larger lambda or delta shrink s_g, so violations can only grow.
-  std::vector<std::pair<uint64_t, double>> profiles;
-  for (uint64_t size : {20, 50, 100, 300, 800, 2000}) {
-    profiles.emplace_back(size, 0.6);
-  }
-  auto loose = AuditViolations(profiles, Params(0.1, 0.1, 0.5, 2));
-  auto tight = AuditViolations(profiles, Params(0.5, 0.5, 0.5, 2));
+  const std::vector<uint64_t> hist =
+      Histograms({20, 50, 100, 300, 800, 2000}, 3);
+  auto loose = AuditViolations(hist, 2, Params(0.1, 0.1, 0.5, 2));
+  auto tight = AuditViolations(hist, 2, Params(0.5, 0.5, 0.5, 2));
   EXPECT_GE(tight.violating_groups, loose.violating_groups);
 }
 

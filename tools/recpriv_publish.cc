@@ -136,8 +136,9 @@ int Run(int argc, char** argv) {
   }
 
   // --- audit ---
-  table::GroupIndex index = table::GroupIndex::Build(publishable);
-  core::ViolationReport audit = core::AuditViolations(index, params);
+  const table::FlatGroupIndex index = table::FlatGroupIndex::Build(publishable);
+  core::ViolationReport audit = core::AuditViolations(
+      index.storage().sa_counts, index.sa_domain(), params);
   std::cout << "audit: " << index.num_groups() << " personal groups; "
             << audit.violating_groups << " would violate ("
             << FormatPercent(audit.RecordViolationRate())
@@ -198,19 +199,21 @@ int Run(int argc, char** argv) {
   if (flags.Has("report")) {
     exp::AsciiTable report({"group", "size", "max_frequency", "s_g",
                             "violates_under_plain_up"});
-    for (const auto& g : index.groups()) {
+    for (size_t g = 0; g < index.num_groups(); ++g) {
       std::string key;
-      for (size_t k = 0; k < g.na_codes.size(); ++k) {
+      for (size_t k = 0; k < index.num_public(); ++k) {
         if (k > 0) key += "/";
         size_t attr = index.public_indices()[k];
         key += publishable.schema()->attribute(attr).domain.value(
-            g.na_codes[k]);
+            index.na_code(g, k));
       }
-      const double s_g = core::MaxGroupSize(params, g.MaxFrequency());
-      report.AddRow({key, std::to_string(g.size()),
-                     FormatDouble(g.MaxFrequency(), 4),
-                     FormatDouble(s_g, 6),
-                     core::GroupIsPrivate(params, g) ? "no" : "yes"});
+      const double max_f = index.MaxFrequency(g);
+      const double s_g = core::MaxGroupSize(params, max_f);
+      const bool is_private =
+          core::GroupIsPrivate(params, index.group_size(g), max_f);
+      report.AddRow({key, std::to_string(index.group_size(g)),
+                     FormatDouble(max_f, 4), FormatDouble(s_g, 6),
+                     is_private ? "no" : "yes"});
     }
     if (auto st = report.WriteCsv(flags.GetString("report")); !st.ok()) {
       return Fail(st);
