@@ -8,8 +8,14 @@
 //   count_answer     a full count-query answer: observed O* + matched |S*|
 //                    (the fused AnswerInto kernel, no match list), at the
 //                    auto dispatch level and pinned to scalar / AVX2
-//   posting_*        the inverted GroupPostingIndex (intersection-based
-//                    matching; the serving engine's evaluator)
+//   posting_match    matching group ids from the inverted GroupPostingIndex
+//                    (posting-list intersection)
+//   serve            the serving engine's count kernel: observed O* +
+//                    matched |S*| from GroupPostingIndex::AnswerInto, which
+//                    sums narrow SA-major columns ("columns"), beside the
+//                    row-major gather of sa_count(g, sa) over the matched
+//                    groups it replaced ("gather"); build/postings_columns
+//                    is the posting index plus its one-time column build
 //
 // Datasets are the paper's two scales, synthesized: ADULT (45,222 records)
 // and CENSUS (300,000 records — the >=100k "serving-relevant" scale the
@@ -28,7 +34,8 @@
 //     "speedups": { "<dataset>/count_answer_simd": scalar_ns / avx2_ns }
 //   }
 //
-// Scalar and AVX2 answers are asserted identical per pool query before any
+// Scalar and AVX2 answers, and the serve kernel's answers against the
+// fused kernel's, are asserted identical per pool query before any
 // timing. On AVX2 hosts the binary exits non-zero unless the AVX2 kernel
 // wins >=2x over scalar on count_answer at the >=100k-row scale, so CI can
 // gate on it. --quick shrinks both datasets for smoke runs (the gate is
@@ -147,11 +154,53 @@ Results RunDataset(const Dataset& ds, double min_seconds) {
       sink += observed + matched_size;
     }
   });
-  out["posting_count/flat"] = Measure(ds.pool.size(), min_seconds, [&] {
+
+  // --- serve: the engine's count kernel -----------------------------------
+  // Identity with the fused kernel is asserted per pool query before any
+  // timing; the check also builds the columns, so the timed arm measures
+  // warm evaluation only (build/postings_columns prices the build).
+  {
+    table::AnswerScratch scratch;
     for (const auto& q : ds.pool) {
-      sink += postings.CountAnswer(q.na_predicate, q.sa_code);
+      uint64_t want_observed = 0, want_matched = 0, observed = 0, matched = 0;
+      flat.AnswerInto(q.na_predicate, q.sa_code, &want_observed,
+                      &want_matched);
+      postings.AnswerInto(q.na_predicate, q.sa_code, scratch, &observed,
+                          &matched);
+      if (observed != want_observed || matched != want_matched) {
+        std::cerr << "serve kernel answer mismatch on " << ds.name
+                  << ": fused (" << want_observed << ", " << want_matched
+                  << ") vs columns (" << observed << ", " << matched << ")\n";
+        std::abort();
+      }
     }
-  });
+    out["serve/columns"] = Measure(ds.pool.size(), min_seconds, [&] {
+      for (const auto& q : ds.pool) {
+        uint64_t observed = 0, matched_size = 0;
+        postings.AnswerInto(q.na_predicate, q.sa_code, scratch, &observed,
+                            &matched_size);
+        sink += observed + matched_size;
+      }
+    });
+    out["serve/gather"] = Measure(ds.pool.size(), min_seconds, [&] {
+      for (const auto& q : ds.pool) {
+        postings.MatchingGroupsInto(q.na_predicate, scratch.intersect,
+                                    scratch.groups);
+        uint64_t observed = 0, matched_size = 0;
+        for (const uint32_t g : scratch.groups) {
+          observed += flat.sa_count(g, q.sa_code);
+          matched_size += flat.group_size(g);
+        }
+        sink += observed + matched_size;
+      }
+    });
+    out["build/postings_columns"] =
+        Measure(ds.table.num_rows(), min_seconds, [&] {
+          const table::GroupPostingIndex fresh(flat);
+          sink += fresh.CountAnswer(ds.pool.front().na_predicate,
+                                    ds.pool.front().sa_code, scratch);
+        });
+  }
 
   // --- count_answer under pinned kernel dispatch levels --------------------
   // The "flat" arm above runs at the as-shipped auto level; these arms pin

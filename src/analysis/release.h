@@ -65,11 +65,12 @@ struct SnapshotSource {
 /// An immutable, query-ready view of one published release: the bundle plus
 /// its columnar personal-group index and posting index, built once at
 /// publish time and shared (via shared_ptr<const>) by every concurrent
-/// reader. The group index is built over the *perturbed* release table, so
-/// its per-group SA histograms are exactly the observed counts O* a
-/// consumer reconstructs from (Lemma 2). `epoch` distinguishes
-/// republications of the same named release — the serving layer keys its
-/// answer cache on it.
+/// reader. (The posting index's SA-major count columns are the one lazy
+/// part: its first count evaluation builds them, thread-safely.) The group
+/// index is built over the *perturbed* release table, so its per-group SA
+/// histograms are exactly the observed counts O* a consumer reconstructs
+/// from (Lemma 2). `epoch` distinguishes republications of the same named
+/// release; the answer cache keys on `content_digest` instead.
 struct ReleaseSnapshot {
   ReleaseSnapshot(ReleaseBundle bundle_in, uint64_t epoch_in)
       : bundle(std::move(bundle_in)), epoch(epoch_in) {}

@@ -175,14 +175,10 @@ Result<BatchResult> QueryEngine::AnswerValidatedBatch(
         table::AnswerScratch scratch;
         for (size_t k = lo; k < hi; ++k) {
           const CountQuery& q = batch[miss[k]];
-          snap.postings->MatchingGroupsInto(q.na_predicate, scratch.intersect,
-                                            scratch.groups);
           uint64_t observed = 0;
           uint64_t matched_size = 0;
-          for (uint32_t gi : scratch.groups) {
-            observed += snap.index.sa_count(gi, q.sa_code);
-            matched_size += snap.index.group_size(gi);
-          }
+          snap.postings->AnswerInto(q.na_predicate, q.sa_code, scratch,
+                                    &observed, &matched_size);
           result.answers[miss[k]] = MakeAnswer(snap, observed, matched_size);
         }
       });

@@ -11,15 +11,19 @@
 // already-perturbed release — so the engine adds no privacy surface.
 //
 // Batches are evaluated in parallel on a work-stealing pool: each worker
-// takes a slice of the batch's uncached queries and answers each one by
-// posting-list intersection (GroupPostingIndex) with reused scratch
-// buffers, summing the matched groups' histogram bins. The fused scan
-// kernel behind EvaluateUncached is the independent reference these
-// answers are checked against, not a second serving path.
+// takes a slice of the batch's uncached queries and answers each one with
+// GroupPostingIndex::AnswerInto and reused scratch buffers. That kernel
+// finds the matching groups through posting lists and sums their bins
+// from SA-major count columns, which the snapshot's posting index builds
+// on its first count evaluation. The fused scan kernel behind
+// EvaluateUncached reads the row-major histogram matrix instead; it is
+// the independent reference these answers are checked against, not a
+// second serving path.
 //
-// Answers are memoized in an LRU cache keyed by (release name, epoch,
-// canonical query bytes) — see serve/answer_cache.h for the invalidation
-// story on republish.
+// Answers are memoized in an LRU cache keyed by (release name, snapshot
+// content digest, canonical query bytes). A republish with different
+// content gets a new digest and so never hits the old answers, while a
+// bit-identical one keeps its warm entries — see serve/answer_cache.h.
 
 #pragma once
 

@@ -60,6 +60,24 @@ AnswerScratch& SharedScratch() {
   return scratch;
 }
 
+/// Bit width of public attribute `attr`'s field in a packed NA key.
+uint32_t KeyBits(const Schema& schema, size_t attr) {
+  const size_t dom = schema.attribute(attr).domain.size();
+  return dom <= 1 ? 0u : uint32_t(std::bit_width(uint64_t(dom - 1)));
+}
+
+/// Rows of a blocked transpose: a block's histogram rows (256 x m x 8 bytes)
+/// stay in cache while each column's slice of the block is written.
+constexpr size_t kTransposeBlock = 256;
+
+/// Writes counts[g * m + sa] for g in [g0, g1) into `col`, narrowed to T
+/// (the caller chose T wide enough for the column's maximum).
+template <typename T>
+void TransposeSlice(const uint64_t* counts, size_t m, size_t sa, size_t g0,
+                    size_t g1, T* col) {
+  for (size_t g = g0; g < g1; ++g) col[g] = T(counts[g * m + sa]);
+}
+
 }  // namespace
 
 bool FlatGroupIndex::DeriveKeyLayout(bool want_packed) {
@@ -71,8 +89,7 @@ bool FlatGroupIndex::DeriveKeyLayout(bool want_packed) {
   key_bits_.assign(n_pub, 0);
   uint32_t total_bits = 0;
   for (size_t k = 0; k < n_pub; ++k) {
-    const size_t dom = schema_->attribute(public_idx_[k]).domain.size();
-    key_bits_[k] = dom <= 1 ? 0u : uint32_t(std::bit_width(uint64_t(dom - 1)));
+    key_bits_[k] = KeyBits(*schema_, public_idx_[k]);
     total_bits += key_bits_[k];
   }
   packed_ = want_packed && total_bits <= 64;
@@ -604,14 +621,60 @@ void FlatGroupIndex::AnswerInto(const Predicate& pred, uint32_t sa,
 }
 
 std::vector<uint32_t> SeededRowOrder(const Table& t) {
-  std::vector<uint32_t> order(t.num_rows());
-  std::iota(order.begin(), order.end(), 0u);
+  const size_t n = t.num_rows();
   const std::vector<size_t> pub = t.schema()->public_indices();
+  const size_t n_pub = pub.size();
+  std::vector<const uint32_t*> cols(n_pub);
+  std::vector<uint32_t> bits(n_pub);
+  uint32_t total_bits = 0;
+  for (size_t k = 0; k < n_pub; ++k) {
+    cols[k] = t.column(pub[k]).data();
+    bits[k] = KeyBits(*t.schema(), pub[k]);
+    total_bits += bits[k];
+  }
+
+  // Every comparison below returns exactly what comparing the rows'
+  // public codes attribute by attribute returns, so std::sort makes the
+  // same moves and yields the permutation seeded releases are drawn in.
+  if (total_bits <= 64) {
+    // Packed keys (Build's layout: attribute 0 highest) order like the
+    // codes they pack as long as every code fits its field; a table
+    // holding a code outside its attribute's domain takes the wide path.
+    std::vector<KeyRow> kr(n);
+    bool fits = true;
+    for (size_t r = 0; r < n && fits; ++r) {
+      uint64_t key = 0;
+      uint32_t below = total_bits;
+      for (size_t k = 0; k < n_pub; ++k) {
+        below -= bits[k];
+        const uint64_t code = cols[k][r];
+        if ((code >> bits[k]) != 0) {
+          fits = false;
+          break;
+        }
+        key |= code << below;
+      }
+      kr[r] = KeyRow{key, uint32_t(r)};
+    }
+    if (fits) {
+      std::sort(kr.begin(), kr.end(),
+                [](const KeyRow& x, const KeyRow& y) { return x.key < y.key; });
+      std::vector<uint32_t> order(n);
+      for (size_t i = 0; i < n; ++i) order[i] = kr[i].row;
+      return order;
+    }
+  }
+  std::vector<uint32_t> wide(n * n_pub);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t k = 0; k < n_pub; ++k) wide[r * n_pub + k] = cols[k][r];
+  }
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    for (size_t attr : pub) {
-      const uint32_t va = t.at(a, attr);
-      const uint32_t vb = t.at(b, attr);
-      if (va != vb) return va < vb;
+    const uint32_t* ka = wide.data() + size_t(a) * n_pub;
+    const uint32_t* kb = wide.data() + size_t(b) * n_pub;
+    for (size_t k = 0; k < n_pub; ++k) {
+      if (ka[k] != kb[k]) return ka[k] < kb[k];
     }
     return false;
   });
@@ -640,29 +703,26 @@ std::vector<uint32_t> GroupPostingIndex::MatchingGroups(
   return out;
 }
 
-void GroupPostingIndex::MatchingGroupsInto(const Predicate& pred,
-                                           std::vector<uint32_t>& scratch,
-                                           std::vector<uint32_t>& out) const {
-  out.clear();
+bool GroupPostingIndex::CollectLists(
+    const Predicate& pred,
+    std::vector<const std::vector<uint32_t>*>& lists) const {
+  lists.clear();
   const auto& pub = index_->public_indices();
-  // Collect the posting lists of the bound conditions, smallest first.
-  std::vector<const std::vector<uint32_t>*> lists;
   for (size_t k = 0; k < pub.size(); ++k) {
     if (pred.is_bound(pub[k])) {
       const uint32_t code = pred.code(pub[k]);
-      if (code >= postings_[k].size()) return;
+      if (code >= postings_[k].size()) return false;
       lists.push_back(&postings_[k][code]);
     }
   }
-  if (lists.empty()) {
-    out.resize(index_->num_groups());
-    for (size_t gi = 0; gi < out.size(); ++gi) {
-      out[gi] = static_cast<uint32_t>(gi);
-    }
-    return;
-  }
   std::sort(lists.begin(), lists.end(),
             [](const auto* a, const auto* b) { return a->size() < b->size(); });
+  return true;
+}
+
+void GroupPostingIndex::IntersectInto(
+    const std::vector<const std::vector<uint32_t>*>& lists,
+    std::vector<uint32_t>& scratch, std::vector<uint32_t>& out) {
   out.assign(lists[0]->begin(), lists[0]->end());
   for (size_t li = 1; li < lists.size() && !out.empty(); ++li) {
     scratch.clear();
@@ -672,6 +732,114 @@ void GroupPostingIndex::MatchingGroupsInto(const Predicate& pred,
   }
 }
 
+void GroupPostingIndex::MatchingGroupsInto(const Predicate& pred,
+                                           std::vector<uint32_t>& scratch,
+                                           std::vector<uint32_t>& out) const {
+  out.clear();
+  std::vector<const std::vector<uint32_t>*>& lists = SharedScratch().lists;
+  if (!CollectLists(pred, lists)) return;
+  if (lists.empty()) {
+    out.resize(index_->num_groups());
+    std::iota(out.begin(), out.end(), 0u);
+    return;
+  }
+  IntersectInto(lists, scratch, out);
+}
+
+void GroupPostingIndex::BuildColumns() const {
+  const size_t groups = index_->num_groups();
+  const size_t m = index_->sa_domain();
+  const uint64_t* counts = index_->storage().sa_counts.data();
+
+  std::vector<uint64_t> max(m, 0);
+  for (size_t g = 0; g < groups; ++g) {
+    for (size_t sa = 0; sa < m; ++sa) {
+      max[sa] = std::max(max[sa], counts[g * m + sa]);
+    }
+  }
+  columns_.resize(m);
+  size_t len[3] = {0, 0, 0};  // elements of col8_, col16_, col32_
+  for (size_t sa = 0; sa < m; ++sa) {
+    // A count is at most a group's size, and groups hold uint32_t row ids.
+    RECPRIV_CHECK(max[sa] <= UINT32_MAX) << "SA count exceeds 32 bits";
+    const size_t w = max[sa] <= UINT8_MAX ? 0 : max[sa] <= UINT16_MAX ? 1 : 2;
+    columns_[sa] = Column{uint8_t(1u << w), len[w]};
+    len[w] += groups;
+  }
+  col8_.resize(len[0]);
+  col16_.resize(len[1]);
+  col32_.resize(len[2]);
+
+  for (size_t g0 = 0; g0 < groups; g0 += kTransposeBlock) {
+    const size_t g1 = std::min(groups, g0 + kTransposeBlock);
+    for (size_t sa = 0; sa < m; ++sa) {
+      const Column c = columns_[sa];
+      switch (c.width) {
+        case 1:
+          TransposeSlice(counts, m, sa, g0, g1, col8_.data() + c.offset);
+          break;
+        case 2:
+          TransposeSlice(counts, m, sa, g0, g1, col16_.data() + c.offset);
+          break;
+        default:
+          TransposeSlice(counts, m, sa, g0, g1, col32_.data() + c.offset);
+      }
+    }
+  }
+}
+
+template <typename Fn>
+auto GroupPostingIndex::WithColumn(uint32_t sa, Fn&& fn) const {
+  const Column c = columns_[sa];
+  switch (c.width) {
+    case 1:
+      return fn(col8_.data() + c.offset);
+    case 2:
+      return fn(col16_.data() + c.offset);
+    default:
+      return fn(col32_.data() + c.offset);
+  }
+}
+
+void GroupPostingIndex::AnswerInto(const Predicate& pred, uint32_t sa,
+                                   AnswerScratch& scratch, uint64_t* observed,
+                                   uint64_t* matched_size) const {
+  RECPRIV_CHECK(pred.num_attributes() == index_->schema()->num_attributes())
+      << "predicate arity mismatch";
+  RECPRIV_DCHECK(sa < index_->sa_domain());
+  std::call_once(columns_once_, [this] { BuildColumns(); });
+  *observed = 0;
+  *matched_size = 0;
+  if (!CollectLists(pred, scratch.lists)) return;
+  const size_t groups = index_->num_groups();
+  if (scratch.lists.empty()) {
+    *observed = WithColumn(sa, [groups](const auto* col) {
+      uint64_t sum = 0;
+      for (size_t g = 0; g < groups; ++g) sum += col[g];
+      return sum;
+    });
+    *matched_size = index_->num_records();
+    return;
+  }
+  // One bound attribute (most served queries) sums its posting list in
+  // place; more intersect first.
+  std::span<const uint32_t> matched = *scratch.lists[0];
+  if (scratch.lists.size() > 1) {
+    IntersectInto(scratch.lists, scratch.intersect, scratch.groups);
+    matched = scratch.groups;
+  }
+  const uint64_t* offsets = index_->storage().row_offsets.data();
+  WithColumn(sa, [&](const auto* col) {
+    uint64_t obs = 0, size = 0;
+    for (const uint32_t g : matched) {
+      obs += col[g];
+      size += offsets[g + 1] - offsets[g];
+    }
+    *observed = obs;
+    *matched_size = size;
+  });
+}
+
 uint64_t GroupPostingIndex::CountAnswer(const Predicate& pred,
                                         uint32_t sa) const {
   return CountAnswer(pred, sa, SharedScratch());
@@ -679,13 +847,9 @@ uint64_t GroupPostingIndex::CountAnswer(const Predicate& pred,
 
 uint64_t GroupPostingIndex::CountAnswer(const Predicate& pred, uint32_t sa,
                                         AnswerScratch& scratch) const {
-  // Pool generation makes millions of these calls; the threaded scratch
-  // keeps them allocation-free after warmup without a per-kernel
-  // thread_local.
-  MatchingGroupsInto(pred, scratch.intersect, scratch.groups);
-  uint64_t ans = 0;
-  for (const uint32_t gi : scratch.groups) ans += index_->sa_count(gi, sa);
-  return ans;
+  uint64_t observed = 0, matched_size = 0;
+  AnswerInto(pred, sa, scratch, &observed, &matched_size);
+  return observed;
 }
 
 }  // namespace recpriv::table

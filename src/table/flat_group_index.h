@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -51,10 +52,12 @@ struct AnswerScratch {
   std::vector<std::pair<uint32_t, uint32_t>> bound;
   /// NA-key probe buffer for the fully-bound binary-search fast path.
   std::vector<uint32_t> key;
-  /// Matching group ids (GroupPostingIndex::CountAnswer).
+  /// Matching group ids of a multi-bound posting intersection.
   std::vector<uint32_t> groups;
   /// Ping-pong space for posting-list intersection.
   std::vector<uint32_t> intersect;
+  /// The bound predicate's posting lists, smallest first.
+  std::vector<const std::vector<uint32_t>*> lists;
 
   /// Returns all capacity to the allocator — for owners that batch bursts
   /// of large queries and then go idle.
@@ -63,6 +66,7 @@ struct AnswerScratch {
     key = {};
     groups = {};
     intersect = {};
+    lists = {};
   }
 };
 
@@ -277,14 +281,17 @@ class FlatGroupIndex {
 };
 
 /// The within-group row order of a seeded release: row ids sorted by NA key
-/// with std::sort and a per-attribute comparator. SPS (core/sps.h) and
+/// with std::sort and a lexicographic comparator. SPS (core/sps.h) and
 /// t-closeness smoothing (anon/tcloseness.h) draw their per-record random
 /// numbers in this order, so it is part of every seeded release's bit-exact
 /// output. The sort is not stable: rows of one group do not come out
 /// ascending, so this order differs from FlatGroupIndex::rows(). Groups
 /// appear in the same NA-lexicographic order as FlatGroupIndex::Build(t),
 /// so consecutive slices of group_size(g) rows are exactly the members of
-/// groups 0, 1, 2, ... of that index.
+/// groups 0, 1, 2, ... of that index. The comparator reads keys built once
+/// up front (bit-packed like Build's when the codes fit 64 bits, row-major
+/// otherwise), not the table's columns; it returns what a per-attribute
+/// compare returns, so std::sort makes the same moves either way.
 std::vector<uint32_t> SeededRowOrder(const Table& t);
 
 /// Inverted index over a FlatGroupIndex: for each (public attribute, value),
@@ -292,9 +299,21 @@ std::vector<uint32_t> SeededRowOrder(const Table& t);
 /// matching for low-dimensionality predicates from O(|G|) to the size of
 /// the smallest posting list (used by query-pool generation, where millions
 /// of candidate selectivity checks are made, and by the serving engine).
+///
+/// Count answers read SA-major histogram columns, col[sa][g] =
+/// sa_count(g, sa), instead of the index's row-major matrix: a matched
+/// group then costs one byte or two of a dense column rather than one
+/// m-strided row of 64-bit counts. Each column holds its counts in the
+/// narrowest unsigned width (8, 16 or 32 bits) that fits the column's
+/// maximum. The columns are built once, for every SA value together, by
+/// the first count evaluation; an index that only matches never pays for
+/// them.
 class GroupPostingIndex {
  public:
   explicit GroupPostingIndex(const FlatGroupIndex& index);
+  // The lazily built columns sit behind a once_flag, which cannot move.
+  GroupPostingIndex(const GroupPostingIndex&) = delete;
+  GroupPostingIndex& operator=(const GroupPostingIndex&) = delete;
 
   /// Same contract as FlatGroupIndex::MatchingGroups, computed by
   /// posting-list intersection. An unbound predicate returns all group ids.
@@ -306,17 +325,59 @@ class GroupPostingIndex {
   void MatchingGroupsInto(const Predicate& pred, std::vector<uint32_t>& scratch,
                           std::vector<uint32_t>& out) const;
 
-  /// Sum of sa_counts[sa] over matching groups (a count-query answer).
-  /// The scratch-threaded overload allocates nothing after warmup; the
+  /// The serving count kernel: O* (sum of the SA column over the matching
+  /// groups) and |S*| (their sizes, from the CSR offsets), bit-identical
+  /// to FlatGroupIndex::AnswerInto. One bound attribute sums its posting
+  /// list in place; an unbound predicate sums the whole column; more bound
+  /// attributes intersect their posting lists into `scratch.groups` first.
+  /// Thread-safe; allocates nothing after warmup except the one-time
+  /// column build.
+  void AnswerInto(const Predicate& pred, uint32_t sa, AnswerScratch& scratch,
+                  uint64_t* observed, uint64_t* matched_size) const;
+
+  /// O* alone (a count-query answer) through AnswerInto. The
+  /// scratch-threaded overload allocates nothing after warmup; the
   /// scratch-less one reuses the shared thread-local scratch.
   uint64_t CountAnswer(const Predicate& pred, uint32_t sa) const;
   uint64_t CountAnswer(const Predicate& pred, uint32_t sa,
                        AnswerScratch& scratch) const;
 
  private:
+  /// Fills `lists` with the posting lists of `pred`'s bound attributes,
+  /// smallest first. False when a bound code is outside its attribute's
+  /// domain, so no group can match.
+  bool CollectLists(const Predicate& pred,
+                    std::vector<const std::vector<uint32_t>*>& lists) const;
+  /// Intersects `lists` (at least one) into `out`, using `scratch` as
+  /// ping-pong space.
+  static void IntersectInto(
+      const std::vector<const std::vector<uint32_t>*>& lists,
+      std::vector<uint32_t>& scratch, std::vector<uint32_t>& out);
+  /// Builds the SA-major columns: one pass for the column maxima, then a
+  /// blocked transpose of the row-major histogram matrix.
+  void BuildColumns() const;
+  /// Calls `fn` with a typed pointer to column `sa` and returns its result.
+  template <typename Fn>
+  auto WithColumn(uint32_t sa, Fn&& fn) const;
+
   const FlatGroupIndex* index_;
   /// postings_[k][v] = group ids with value v on the k-th public attribute.
   std::vector<std::vector<std::vector<uint32_t>>> postings_;
+
+  /// Where one SA value's column lives: `offset` elements into the
+  /// vector of its `width` (in bytes: 1, 2 or 4).
+  struct Column {
+    uint8_t width = 1;
+    size_t offset = 0;
+  };
+  /// SA-major count columns, written once under columns_once_ and only
+  /// read after it: columns_[sa] locates column sa, which holds
+  /// num_groups counts in col8_, col16_ or col32_.
+  mutable std::once_flag columns_once_;
+  mutable std::vector<Column> columns_;
+  mutable std::vector<uint8_t> col8_;
+  mutable std::vector<uint16_t> col16_;
+  mutable std::vector<uint32_t> col32_;
 };
 
 }  // namespace recpriv::table

@@ -2,22 +2,27 @@
 // randomized property suite asserting the index agrees with a naive
 // map-based grouping on groups, SA histograms, MatchingGroups, FindGroup,
 // and CountAnswer across schemas — including domains too wide for the
-// packed-key fast path. Also checks the posting-list index against the fused
-// kernel and covers the seeded row order. Hand-checked groups of a small
-// table live in group_index_test.cc.
+// packed-key fast path. Also checks the posting-list index's count kernel
+// (narrow SA-major columns) against the scalar fused kernel, at the column
+// width boundaries and under a race to build the columns, and covers the
+// seeded row order. Hand-checked groups of a small table live in
+// group_index_test.cc.
 
 #include "table/flat_group_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
+#include "table/simd/dispatch.h"
 
 namespace recpriv::table {
 namespace {
@@ -277,22 +282,167 @@ TEST(FlatGroupIndexTest, RowsAreAscendingWithinGroups) {
   }
 }
 
-TEST(GroupPostingIndexTest, CountAnswerMatchesFusedKernel) {
-  Rng rng(321);
-  SchemaPtr schema = MakeSchema({4, 3, 2}, 3);
-  Table t = RandomTable(schema, 800, rng);
-  const FlatGroupIndex flat = FlatGroupIndex::Build(t);
+/// Pins kernel dispatch to the scalar reference for one scope.
+class ScopedScalarDispatch {
+ public:
+  ScopedScalarDispatch() : restore_(simd::ActiveLevel()) {
+    simd::SetDispatchLevel(simd::DispatchLevel::kScalar);
+  }
+  ~ScopedScalarDispatch() { simd::SetDispatchLevel(restore_); }
+
+ private:
+  simd::DispatchLevel restore_;
+};
+
+/// A predicate binding exactly `num_bound` distinct public attributes
+/// (capped at the number there are); each bound code is out of its domain
+/// with probability 1/5.
+Predicate RandomPredicate(const Schema& schema, size_t num_bound, Rng& rng) {
+  std::vector<size_t> pub = schema.public_indices();
+  Predicate pred(schema.num_attributes());
+  for (size_t i = 0; i < num_bound && !pub.empty(); ++i) {
+    const size_t pick = rng.NextUint64(pub.size());
+    const size_t attr = pub[pick];
+    pub.erase(pub.begin() + pick);
+    const size_t dom = schema.attribute(attr).domain.size();
+    pred.Bind(attr, rng.NextUint64(5) == 0
+                        ? uint32_t(dom + rng.NextUint64(3))
+                        : uint32_t(rng.NextUint64(dom)));
+  }
+  return pred;
+}
+
+/// GroupPostingIndex::AnswerInto must equal the scalar fused kernel on
+/// unbound, one-bound and multi-bound predicates for every SA value.
+void ExpectPostingAnswersMatchScalar(const FlatGroupIndex& flat, Rng& rng) {
+  const ScopedScalarDispatch scalar;
   const GroupPostingIndex postings(flat);
+  const Schema& schema = *flat.schema();
+  AnswerScratch scratch;
   for (int trial = 0; trial < 60; ++trial) {
-    Predicate pred(4);
-    for (size_t attr = 0; attr < 3; ++attr) {
-      if (rng.NextUint64(2) == 0) {
-        pred.Bind(attr, uint32_t(rng.NextUint64(
-                            schema->attribute(attr).domain.size())));
-      }
+    const size_t num_bound = trial % 4 == 0 ? 0
+                             : trial % 4 == 1
+                                 ? 1
+                                 : 2 + rng.NextUint64(flat.num_public() + 1);
+    const Predicate pred = RandomPredicate(schema, num_bound, rng);
+    for (uint32_t sa = 0; sa < flat.sa_domain(); ++sa) {
+      uint64_t want_obs = 0, want_size = 0, obs = 1, size = 1;
+      flat.AnswerInto(pred, sa, &want_obs, &want_size);
+      postings.AnswerInto(pred, sa, scratch, &obs, &size);
+      ASSERT_EQ(obs, want_obs) << pred.ToString(schema) << " sa " << sa;
+      ASSERT_EQ(size, want_size) << pred.ToString(schema) << " sa " << sa;
+      EXPECT_EQ(postings.CountAnswer(pred, sa), want_obs);
     }
-    const uint32_t sa = uint32_t(rng.NextUint64(3));
-    EXPECT_EQ(postings.CountAnswer(pred, sa), flat.CountAnswer(pred, sa));
+  }
+}
+
+TEST(GroupPostingIndexTest, AnswerIntoMatchesScalarKernelPackedAndWide) {
+  Rng rng(20151013);
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const size_t n_pub = 1 + rng.NextUint64(4);
+    std::vector<size_t> domains;
+    for (size_t a = 0; a < n_pub; ++a) domains.push_back(1 + rng.NextUint64(6));
+    const SchemaPtr schema = MakeSchema(domains, 2 + rng.NextUint64(5));
+    const Table t = RandomTable(schema, rng.NextUint64(2000), rng);
+    for (auto mode : {FlatGroupIndex::KeyMode::kAuto,
+                      FlatGroupIndex::KeyMode::kForceWide}) {
+      const FlatGroupIndex flat = FlatGroupIndex::Build(t, mode);
+      ExpectPostingAnswersMatchScalar(flat, rng);
+    }
+  }
+  // 9 x 8 key bits: a schema whose keys cannot pack.
+  const SchemaPtr wide = MakeSchema(std::vector<size_t>(9, 129), 3);
+  const Table t = RandomTable(wide, 3000, rng);
+  const FlatGroupIndex flat = FlatGroupIndex::Build(t);
+  ASSERT_FALSE(flat.packed());
+  ExpectPostingAnswersMatchScalar(flat, rng);
+}
+
+TEST(GroupPostingIndexTest, ColumnWidthBoundaries) {
+  // Each SA column's maximum sits on one side of an 8- or 16-bit boundary
+  // (255 / 256 / 65535 / 65536) beside small counts, so a column narrowed
+  // one width too far would lose its maximum from the sums.
+  const SchemaPtr schema = MakeSchema({4}, 4);
+  const std::vector<uint32_t> keys = {0, 1, 2, 3};
+  const std::vector<uint64_t> counts = {
+      255, 3,   65535, 7,      //
+      1,   256, 2,     65536,  //
+      0,   9,   65534, 1,      //
+      254, 0,   1,     2,
+  };
+  const FlatGroupIndex::GroupRun base{keys, counts, 4};
+  const FlatGroupIndex::GroupRun none{{}, {}, 0};
+  auto merged = FlatGroupIndex::MergeRuns(schema, base, none);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  const FlatGroupIndex& flat = *merged;
+  const GroupPostingIndex postings(flat);
+  AnswerScratch scratch;
+  const std::vector<uint64_t> totals = {510, 268, 131072, 65546};
+  for (uint32_t sa = 0; sa < 4; ++sa) {
+    uint64_t obs = 0, size = 0;
+    postings.AnswerInto(Predicate(2), sa, scratch, &obs, &size);
+    EXPECT_EQ(obs, totals[sa]) << "sa " << sa;
+    EXPECT_EQ(size, flat.num_records());
+    for (uint32_t g = 0; g < 4; ++g) {
+      Predicate pred(2);
+      pred.Bind(0, g);
+      postings.AnswerInto(pred, sa, scratch, &obs, &size);
+      EXPECT_EQ(obs, counts[g * 4 + sa]) << "group " << g << " sa " << sa;
+      EXPECT_EQ(size, flat.group_size(g));
+    }
+  }
+  Rng rng(65536);
+  ExpectPostingAnswersMatchScalar(flat, rng);
+}
+
+TEST(GroupPostingIndexTest, RacingFirstEvaluationsAgree) {
+  // The columns are built by whichever thread evaluates first; eight
+  // threads released together onto a fresh index must all see them whole.
+  Rng rng(8);
+  const SchemaPtr schema = MakeSchema({5, 4, 3}, 6);
+  const Table t = RandomTable(schema, 20000, rng);
+  const FlatGroupIndex flat = FlatGroupIndex::Build(t);
+  std::vector<Predicate> preds;
+  std::vector<uint32_t> sas;
+  std::vector<uint64_t> want;
+  {
+    const ScopedScalarDispatch scalar;
+    for (int q = 0; q < 64; ++q) {
+      preds.push_back(RandomPredicate(*schema, q % 4, rng));
+      sas.push_back(uint32_t(rng.NextUint64(6)));
+      uint64_t obs = 0, size = 0;
+      flat.AnswerInto(preds.back(), sas.back(), &obs, &size);
+      want.push_back(obs);
+      want.push_back(size);
+    }
+  }
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 10; ++round) {
+    const GroupPostingIndex postings(flat);
+    std::atomic<int> ready{0};
+    std::vector<std::vector<uint64_t>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        AnswerScratch scratch;
+        got[i].resize(want.size());
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        // Each thread starts at a different query.
+        for (size_t k = 0; k < preds.size(); ++k) {
+          const size_t q = (k + size_t(i) * 8) % preds.size();
+          uint64_t obs = 0, size = 0;
+          postings.AnswerInto(preds[q], sas[q], scratch, &obs, &size);
+          got[i][2 * q] = obs;
+          got[i][2 * q + 1] = size;
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (int i = 0; i < kThreads; ++i) {
+      EXPECT_EQ(got[i], want) << "round " << round << " thread " << i;
+    }
   }
 }
 
