@@ -12,10 +12,9 @@
 //                    (posting-list intersection)
 //   serve            the serving engine's count kernel: observed O* +
 //                    matched |S*| from GroupPostingIndex::AnswerInto, which
-//                    sums narrow SA-major columns ("columns"), beside the
-//                    row-major gather of sa_count(g, sa) over the matched
-//                    groups it replaced ("gather"); build/postings_columns
-//                    is the posting index plus its one-time column build
+//                    sums narrow SA-major columns ("columns");
+//                    build/postings_columns is the posting index plus its
+//                    one-time column build
 //
 // Datasets are the paper's two scales, synthesized: ADULT (45,222 records)
 // and CENSUS (300,000 records — the >=100k "serving-relevant" scale the
@@ -179,18 +178,6 @@ Results RunDataset(const Dataset& ds, double min_seconds) {
         uint64_t observed = 0, matched_size = 0;
         postings.AnswerInto(q.na_predicate, q.sa_code, scratch, &observed,
                             &matched_size);
-        sink += observed + matched_size;
-      }
-    });
-    out["serve/gather"] = Measure(ds.pool.size(), min_seconds, [&] {
-      for (const auto& q : ds.pool) {
-        postings.MatchingGroupsInto(q.na_predicate, scratch.intersect,
-                                    scratch.groups);
-        uint64_t observed = 0, matched_size = 0;
-        for (const uint32_t g : scratch.groups) {
-          observed += flat.sa_count(g, q.sa_code);
-          matched_size += flat.group_size(g);
-        }
         sink += observed + matched_size;
       }
     });

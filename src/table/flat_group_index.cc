@@ -5,6 +5,7 @@
 #include <iterator>
 #include <numeric>
 #include <utility>
+#include <variant>
 
 #include "common/logging.h"
 #include "table/simd/dispatch.h"
@@ -624,55 +625,20 @@ std::vector<uint32_t> SeededRowOrder(const Table& t) {
   const size_t n = t.num_rows();
   const std::vector<size_t> pub = t.schema()->public_indices();
   const size_t n_pub = pub.size();
-  std::vector<const uint32_t*> cols(n_pub);
-  std::vector<uint32_t> bits(n_pub);
-  uint32_t total_bits = 0;
+  // Row-major keys, gathered once: the comparator below returns exactly
+  // what comparing the rows' public codes attribute by attribute returns,
+  // so std::sort makes the same moves and yields the permutation seeded
+  // releases are drawn in.
+  std::vector<uint32_t> keys(n * n_pub);
   for (size_t k = 0; k < n_pub; ++k) {
-    cols[k] = t.column(pub[k]).data();
-    bits[k] = KeyBits(*t.schema(), pub[k]);
-    total_bits += bits[k];
-  }
-
-  // Every comparison below returns exactly what comparing the rows'
-  // public codes attribute by attribute returns, so std::sort makes the
-  // same moves and yields the permutation seeded releases are drawn in.
-  if (total_bits <= 64) {
-    // Packed keys (Build's layout: attribute 0 highest) order like the
-    // codes they pack as long as every code fits its field; a table
-    // holding a code outside its attribute's domain takes the wide path.
-    std::vector<KeyRow> kr(n);
-    bool fits = true;
-    for (size_t r = 0; r < n && fits; ++r) {
-      uint64_t key = 0;
-      uint32_t below = total_bits;
-      for (size_t k = 0; k < n_pub; ++k) {
-        below -= bits[k];
-        const uint64_t code = cols[k][r];
-        if ((code >> bits[k]) != 0) {
-          fits = false;
-          break;
-        }
-        key |= code << below;
-      }
-      kr[r] = KeyRow{key, uint32_t(r)};
-    }
-    if (fits) {
-      std::sort(kr.begin(), kr.end(),
-                [](const KeyRow& x, const KeyRow& y) { return x.key < y.key; });
-      std::vector<uint32_t> order(n);
-      for (size_t i = 0; i < n; ++i) order[i] = kr[i].row;
-      return order;
-    }
-  }
-  std::vector<uint32_t> wide(n * n_pub);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t k = 0; k < n_pub; ++k) wide[r * n_pub + k] = cols[k][r];
+    const std::vector<uint32_t>& col = t.column(pub[k]);
+    for (size_t r = 0; r < n; ++r) keys[r * n_pub + k] = col[r];
   }
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const uint32_t* ka = wide.data() + size_t(a) * n_pub;
-    const uint32_t* kb = wide.data() + size_t(b) * n_pub;
+    const uint32_t* ka = keys.data() + size_t(a) * n_pub;
+    const uint32_t* kb = keys.data() + size_t(b) * n_pub;
     for (size_t k = 0; k < n_pub; ++k) {
       if (ka[k] != kb[k]) return ka[k] < kb[k];
     }
@@ -758,46 +724,25 @@ void GroupPostingIndex::BuildColumns() const {
     }
   }
   columns_.resize(m);
-  size_t len[3] = {0, 0, 0};  // elements of col8_, col16_, col32_
   for (size_t sa = 0; sa < m; ++sa) {
     // A count is at most a group's size, and groups hold uint32_t row ids.
     RECPRIV_CHECK(max[sa] <= UINT32_MAX) << "SA count exceeds 32 bits";
-    const size_t w = max[sa] <= UINT8_MAX ? 0 : max[sa] <= UINT16_MAX ? 1 : 2;
-    columns_[sa] = Column{uint8_t(1u << w), len[w]};
-    len[w] += groups;
+    if (max[sa] <= UINT8_MAX) {
+      columns_[sa].emplace<std::vector<uint8_t>>(groups);
+    } else if (max[sa] <= UINT16_MAX) {
+      columns_[sa].emplace<std::vector<uint16_t>>(groups);
+    } else {
+      columns_[sa].emplace<std::vector<uint32_t>>(groups);
+    }
   }
-  col8_.resize(len[0]);
-  col16_.resize(len[1]);
-  col32_.resize(len[2]);
 
   for (size_t g0 = 0; g0 < groups; g0 += kTransposeBlock) {
     const size_t g1 = std::min(groups, g0 + kTransposeBlock);
     for (size_t sa = 0; sa < m; ++sa) {
-      const Column c = columns_[sa];
-      switch (c.width) {
-        case 1:
-          TransposeSlice(counts, m, sa, g0, g1, col8_.data() + c.offset);
-          break;
-        case 2:
-          TransposeSlice(counts, m, sa, g0, g1, col16_.data() + c.offset);
-          break;
-        default:
-          TransposeSlice(counts, m, sa, g0, g1, col32_.data() + c.offset);
-      }
+      std::visit(
+          [&](auto& col) { TransposeSlice(counts, m, sa, g0, g1, col.data()); },
+          columns_[sa]);
     }
-  }
-}
-
-template <typename Fn>
-auto GroupPostingIndex::WithColumn(uint32_t sa, Fn&& fn) const {
-  const Column c = columns_[sa];
-  switch (c.width) {
-    case 1:
-      return fn(col8_.data() + c.offset);
-    case 2:
-      return fn(col16_.data() + c.offset);
-    default:
-      return fn(col32_.data() + c.offset);
   }
 }
 
@@ -811,13 +756,14 @@ void GroupPostingIndex::AnswerInto(const Predicate& pred, uint32_t sa,
   *observed = 0;
   *matched_size = 0;
   if (!CollectLists(pred, scratch.lists)) return;
-  const size_t groups = index_->num_groups();
   if (scratch.lists.empty()) {
-    *observed = WithColumn(sa, [groups](const auto* col) {
-      uint64_t sum = 0;
-      for (size_t g = 0; g < groups; ++g) sum += col[g];
-      return sum;
-    });
+    *observed = std::visit(
+        [](const auto& col) {
+          uint64_t sum = 0;
+          for (const auto count : col) sum += count;
+          return sum;
+        },
+        columns_[sa]);
     *matched_size = index_->num_records();
     return;
   }
@@ -829,15 +775,17 @@ void GroupPostingIndex::AnswerInto(const Predicate& pred, uint32_t sa,
     matched = scratch.groups;
   }
   const uint64_t* offsets = index_->storage().row_offsets.data();
-  WithColumn(sa, [&](const auto* col) {
-    uint64_t obs = 0, size = 0;
-    for (const uint32_t g : matched) {
-      obs += col[g];
-      size += offsets[g + 1] - offsets[g];
-    }
-    *observed = obs;
-    *matched_size = size;
-  });
+  std::visit(
+      [&](const auto& col) {
+        uint64_t obs = 0, size = 0;
+        for (const uint32_t g : matched) {
+          obs += col[g];
+          size += offsets[g + 1] - offsets[g];
+        }
+        *observed = obs;
+        *matched_size = size;
+      },
+      columns_[sa]);
 }
 
 uint64_t GroupPostingIndex::CountAnswer(const Predicate& pred,

@@ -31,6 +31,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -288,10 +289,9 @@ class FlatGroupIndex {
 /// ascending, so this order differs from FlatGroupIndex::rows(). Groups
 /// appear in the same NA-lexicographic order as FlatGroupIndex::Build(t),
 /// so consecutive slices of group_size(g) rows are exactly the members of
-/// groups 0, 1, 2, ... of that index. The comparator reads keys built once
-/// up front (bit-packed like Build's when the codes fit 64 bits, row-major
-/// otherwise), not the table's columns; it returns what a per-attribute
-/// compare returns, so std::sort makes the same moves either way.
+/// groups 0, 1, 2, ... of that index. The comparator reads row-major keys
+/// gathered once up front, not the table's columns; it returns what a
+/// per-attribute compare returns, so std::sort makes the same moves.
 std::vector<uint32_t> SeededRowOrder(const Table& t);
 
 /// Inverted index over a FlatGroupIndex: for each (public attribute, value),
@@ -356,28 +356,19 @@ class GroupPostingIndex {
   /// Builds the SA-major columns: one pass for the column maxima, then a
   /// blocked transpose of the row-major histogram matrix.
   void BuildColumns() const;
-  /// Calls `fn` with a typed pointer to column `sa` and returns its result.
-  template <typename Fn>
-  auto WithColumn(uint32_t sa, Fn&& fn) const;
 
   const FlatGroupIndex* index_;
   /// postings_[k][v] = group ids with value v on the k-th public attribute.
   std::vector<std::vector<std::vector<uint32_t>>> postings_;
 
-  /// Where one SA value's column lives: `offset` elements into the
-  /// vector of its `width` (in bytes: 1, 2 or 4).
-  struct Column {
-    uint8_t width = 1;
-    size_t offset = 0;
-  };
+  /// One SA value's counts for groups 0..num_groups-1, in the narrowest
+  /// width that holds their maximum.
+  using Column = std::variant<std::vector<uint8_t>, std::vector<uint16_t>,
+                              std::vector<uint32_t>>;
   /// SA-major count columns, written once under columns_once_ and only
-  /// read after it: columns_[sa] locates column sa, which holds
-  /// num_groups counts in col8_, col16_ or col32_.
+  /// read after it.
   mutable std::once_flag columns_once_;
   mutable std::vector<Column> columns_;
-  mutable std::vector<uint8_t> col8_;
-  mutable std::vector<uint16_t> col16_;
-  mutable std::vector<uint32_t> col32_;
 };
 
 }  // namespace recpriv::table

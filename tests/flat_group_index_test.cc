@@ -4,9 +4,9 @@
 // and CountAnswer across schemas — including domains too wide for the
 // packed-key fast path. Also checks the posting-list index's count kernel
 // (narrow SA-major columns) against the scalar fused kernel, at the column
-// width boundaries and under a race to build the columns, and covers the
-// seeded row order. Hand-checked groups of a small table live in
-// group_index_test.cc.
+// width boundaries and under a race to build the columns, and checks the
+// seeded row order against the per-attribute comparator sort. Hand-checked
+// groups of a small table live in group_index_test.cc.
 
 #include "table/flat_group_index.h"
 
@@ -14,9 +14,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -469,6 +471,70 @@ TEST(SeededRowOrderTest, SlicesAreTheIndexGroups) {
           << "group " << g;
     }
     EXPECT_EQ(begin, order.size());
+  }
+}
+
+/// The seeded order as first written: std::sort over row ids comparing the
+/// table's public codes attribute by attribute. Seeded releases are drawn
+/// in this exact permutation, within-group order included.
+std::vector<uint32_t> ReferenceSeededOrder(const Table& t) {
+  std::vector<uint32_t> order(t.num_rows());
+  std::iota(order.begin(), order.end(), 0u);
+  const std::vector<size_t> pub = t.schema()->public_indices();
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    for (size_t attr : pub) {
+      const uint32_t va = t.at(a, attr);
+      const uint32_t vb = t.at(b, attr);
+      if (va != vb) return va < vb;
+    }
+    return false;
+  });
+  return order;
+}
+
+/// A table over `public_domains` whose public codes are drawn from only the
+/// first `used` values of each domain, so groups are large and the order
+/// within them matters.
+Table CrowdedTable(const std::vector<size_t>& public_domains, uint32_t used,
+                   size_t rows, Rng& rng) {
+  const SchemaPtr schema = MakeSchema(public_domains, 3);
+  Table t(schema);
+  std::vector<uint32_t> codes(schema->num_attributes());
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t a = 0; a < public_domains.size(); ++a) {
+      codes[a] = uint32_t(rng.NextUint64(used));
+    }
+    codes.back() = uint32_t(rng.NextUint64(3));
+    t.AppendRowUnchecked(codes);
+  }
+  return t;
+}
+
+TEST(SeededRowOrderTest, MatchesPerAttributeComparatorSort) {
+  Rng rng(2015);
+  {
+    SCOPED_TRACE("keys that pack");
+    const Table t = CrowdedTable({3, 4, 2}, 2, 5000, rng);
+    ASSERT_TRUE(FlatGroupIndex::Build(t).packed());
+    EXPECT_EQ(SeededRowOrder(t), ReferenceSeededOrder(t));
+  }
+  {
+    SCOPED_TRACE("keys over 64 bits");
+    const Table t = CrowdedTable(std::vector<size_t>(9, 129), 2, 5000, rng);
+    ASSERT_FALSE(FlatGroupIndex::Build(t).packed());
+    EXPECT_EQ(SeededRowOrder(t), ReferenceSeededOrder(t));
+  }
+  {
+    SCOPED_TRACE("codes outside their domains");
+    Table t = CrowdedTable({3, 4, 2}, 2, 5000, rng);
+    const std::vector<uint32_t> odd = {3, 4, 7, 255, 65536, UINT32_MAX};
+    for (size_t attr : t.schema()->public_indices()) {
+      std::vector<uint32_t>& col = t.mutable_column(attr);
+      for (size_t r = 0; r < col.size(); r += 7) {
+        col[r] = odd[rng.NextUint64(odd.size())];
+      }
+    }
+    EXPECT_EQ(SeededRowOrder(t), ReferenceSeededOrder(t));
   }
 }
 
